@@ -5,6 +5,11 @@ absolute harmonic flow, closes candidate cycles through the heaviest
 non-tree edges, and greedily adds the single candidate that lowers the
 exact loss the most.  It is a faithful-in-spirit reference point, not a
 bit-exact port of any particular prior implementation.
+
+Both baselines supply only their step to ``mfci._greedy_loop``, which runs
+the loop and writes the trace.  The spanning trees are grown by
+``complexes.kruskal``; the random draw is ``complexes.random_tree_cell``,
+which the synthetic generator uses too.
 """
 
 from __future__ import annotations
@@ -13,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import CellComplex, UnionFind, add_cells, boundary_from_edge_set, tree_cycle
-from .hodge import SolverConfig, SolverTally, harmonic_projection, loss, make_timer, remove_gradient
-from .mfci import InferenceTrace, IterationRecord
+from .complexes import add_cells, boundary_from_edge_set, kruskal, random_tree_cell, tree_cycle
+from .hodge import SolverConfig, harmonic_projection, loss
+from .mfci import _greedy_loop
 
 
 @dataclass(frozen=True)
@@ -33,19 +38,15 @@ class SphConfig:
 
 def max_spanning_tree(graph, weights):
     """Greedy maximum-weight spanning forest: edges in decreasing weight
-    (ties: lower edge id) joined through union-find.  Returns the forest as
+    (ties: lower edge id) grown by ``kruskal``.  Returns the forest as
     a set of edge ids; on a connected graph this is a spanning tree."""
     weights = np.asarray(weights, dtype=np.float64)
     m = graph.edge_count
     if weights.shape != (m,):
         raise ValueError("weights length must equal the edge count")
-    order = np.lexsort((np.arange(m), -weights))
-    uf = UnionFind(graph.node_count)
     tree = set()
-    for e in order:
-        u, v = graph.edges[e]
-        if uf.union(u, v):
-            tree.add(int(e))
+    for _ in kruskal(graph, np.lexsort((np.arange(m), -weights)), tree):
+        pass
     return tree
 
 
@@ -87,89 +88,40 @@ def infer_sph(graph, flows, cfg, rng=None, timer=None):
     itself is deterministic.
     """
     del rng
-    flows = np.asarray(flows, dtype=np.float64)
-    if flows.ndim == 1:
-        flows = flows[:, None]
-    if timer is None:
-        timer = make_timer()
 
-    tally = SolverTally()
-    t0 = timer()
-    flows0 = remove_gradient(graph, flows, cfg.solver, tally)
-    complex_ = CellComplex(graph)
-    records = [IterationRecord(0, (), 0, float(np.linalg.norm(flows0)), timer() - t0,
-                               tally.calls, tally.iterations)]
-    existing = set()
-    iteration = 0
-    while complex_.cell_count < cfg.total_cells:
-        iteration += 1
-        current = harmonic_projection(complex_, flows0, cfg.solver, tally)
-        candidates = [c for c in sph_candidates(complex_, current, cfg.candidates_per_iteration)
-                      if c.canonical() not in existing]
-        if not candidates:
-            break
-        best = None
-        best_loss = np.inf
-        for cell in candidates:
-            trial = CellComplex(graph, complex_.cells + (cell,))
-            value = loss(trial, flows0, cfg.solver, tally)
-            if value < best_loss:
-                best, best_loss = cell, value
-        complex_, added, _ = add_cells(complex_, [best])
-        existing.add(best.canonical())
-        records.append(IterationRecord(iteration, added, complex_.cell_count, best_loss,
-                                       timer() - t0, tally.calls, tally.iterations))
-    return complex_, InferenceTrace(tuple(records))
+    def steps(complex_, flows0, tally):
+        while True:
+            current = harmonic_projection(complex_, flows0, cfg.solver, tally)
+            candidates = [c for c in sph_candidates(complex_, current, cfg.candidates_per_iteration)
+                          if c.canonical() not in complex_.keys]
+            if not candidates:
+                return
+            trials = [add_cells(complex_, [cell]) for cell in candidates]
+            losses = [loss(trial, flows0, cfg.solver, tally) for trial, _, _ in trials]
+            best = int(np.argmin(losses))  # ties: the first candidate
+            complex_, added, _ = trials[best]
+            yield complex_, added, losses[best], ()
+
+    return _greedy_loop(graph, flows, cfg.total_cells, cfg.solver, timer, steps)
 
 
 def infer_random(graph, flows, total_cells, rng, timer=None):
     """Random baseline: each added cell closes a uniformly chosen non-tree
-    edge through a random spanning tree (random edge order, greedy).
+    edge through a random spanning tree (see ``random_tree_cell``).
 
     Duplicate draws are resampled up to 100 times; once a cell cannot be
     drawn fresh the run stops short.  The exact loss recorded per iteration
     is reporting only: it is neither counted as a solver call nor timed.
     """
-    flows = np.asarray(flows, dtype=np.float64)
-    if flows.ndim == 1:
-        flows = flows[:, None]
-    if timer is None:
-        timer = make_timer()
-    m = graph.edge_count
+    def steps(complex_, flows0, tally):
+        while True:
+            for _ in range(100):
+                cell = random_tree_cell(graph, rng)
+                if cell.canonical() not in complex_.keys:
+                    break
+            else:
+                return  # no fresh cell in 100 draws: stop short
+            complex_, added, _ = add_cells(complex_, [cell])
+            yield complex_, added, None, ()
 
-    tally = SolverTally()
-    t0 = timer()
-    excluded = 0.0
-    flows0 = remove_gradient(graph, flows, cfg=SolverConfig(), tally=tally)
-    complex_ = CellComplex(graph)
-    records = [IterationRecord(0, (), 0, float(np.linalg.norm(flows0)), timer() - t0,
-                               tally.calls, tally.iterations)]
-    existing = set()
-    for iteration in range(1, total_cells + 1):
-        cell = None
-        for _ in range(100):
-            order = rng.permutation(m)
-            uf = UnionFind(graph.node_count)
-            tree = set()
-            for e in order:
-                u, v = graph.edges[e]
-                if uf.union(u, v):
-                    tree.add(int(e))
-            non_tree = [e for e in range(m) if e not in tree]
-            if not non_tree:
-                raise ValueError("graph contains no cycle")
-            closing = non_tree[rng.integers(len(non_tree))]
-            draw = boundary_from_edge_set(graph, tree_cycle(graph, tree, closing))
-            if draw.canonical() not in existing:
-                cell = draw
-                break
-        if cell is None:
-            break
-        complex_, added, _ = add_cells(complex_, [cell])
-        existing.add(cell.canonical())
-        mark = timer()
-        exact_loss = loss(complex_, flows0, SolverConfig())
-        excluded += timer() - mark
-        records.append(IterationRecord(iteration, added, complex_.cell_count, exact_loss,
-                                       timer() - t0 - excluded, tally.calls, tally.iterations))
-    return complex_, InferenceTrace(tuple(records))
+    return _greedy_loop(graph, flows, total_cells, SolverConfig(), timer, steps)

@@ -227,60 +227,35 @@ def check_cell(graph, cell):
         raise InvalidCell("boundary length does not match the graph's edge count")
     if len(cell) < 3:
         raise InvalidCell("cycle support has fewer than 3 edges")
-    degree = {}
-    for e in cell.edges:
-        u, v = graph.edges[e]
-        degree[u] = degree.get(u, 0) + 1
-        degree[v] = degree.get(v, 0) + 1
-    if any(d != 2 for d in degree.values()):
-        raise InvalidCell("support is not a simple cycle: some node has degree != 2")
-    # degree-2 everywhere means a disjoint union of cycles; connectivity
-    # forces a single one (nodes == edges on a cycle).
-    if len(degree) != len(cell):
-        raise InvalidCell("support is not a single cycle")
-    if not _edge_set_connected(graph, cell.edges):
-        raise InvalidCell("support is disconnected (several cycles)")
-    net = graph.incidence()[:, cell.edges] @ cell.signs.astype(np.int64)
-    if np.any(net != 0):
+    try:
+        cycle = boundary_from_edge_set(graph, cell.edges)
+    except NotACycle as exc:
+        raise InvalidCell(f"support is not a single simple cycle: {exc}") from exc
+    # On a simple cycle, B1 @ b == 0 holds for exactly the two orientations
+    # of the cycle, so matching the oriented support up to sign checks it.
+    if cell.canonical() != cycle.canonical():
         raise InvalidCell("signs do not cancel at every node (B1 @ b != 0)")
-
-
-def _edge_set_connected(graph, edge_ids):
-    edge_ids = set(int(e) for e in edge_ids)
-    start_u, start_v = graph.edges[next(iter(edge_ids))]
-    todo = deque([start_u])
-    seen_nodes = {start_u}
-    seen_edges = set()
-    while todo:
-        node = todo.popleft()
-        for nbr, eid in graph.adjacency[node]:
-            if eid in edge_ids and eid not in seen_edges:
-                seen_edges.add(eid)
-                if nbr not in seen_nodes:
-                    seen_nodes.add(nbr)
-                    todo.append(nbr)
-    return len(seen_edges) == len(edge_ids)
 
 
 class CellComplex:
     """A graph plus an ordered set of 2-cells.
 
     The boundary matrix has one column per cell; every constructed complex
-    satisfies ``incidence @ boundary == 0`` exactly.  Immutable by
-    convention: adding cells returns a new complex (see add_cells).
+    satisfies ``incidence @ boundary == 0`` exactly.  ``keys`` holds the
+    canonical key of every cell.  Immutable by convention: adding cells
+    returns a new complex (see add_cells), which validates only the new
+    cells, since the prefix was validated when it was built.
     """
 
     def __init__(self, graph, cells=()):
-        cells = tuple(cells)
-        seen = set()
-        for cell in cells:
-            check_cell(graph, cell)
-            key = cell.canonical()
-            if key in seen:
-                raise InvalidCell("duplicate cell (up to sign) in cell list")
-            seen.add(key)
         self.graph = graph
-        self.cells = cells
+        self.cells = ()
+        self.keys = frozenset()
+        grown, _, dropped = add_cells(self, cells)
+        if dropped:
+            raise InvalidCell("duplicate cell (up to sign) in cell list")
+        self.cells = grown.cells
+        self.keys = grown.keys
 
     @property
     def cell_count(self):
@@ -366,7 +341,8 @@ def boundary_from_edge_set(graph, edge_ids):
 
 def add_cells(complex_, new_cells):
     """Append cells to a complex, dropping duplicates (up to sign) of existing
-    or earlier-in-batch cells.
+    or earlier-in-batch cells.  This is the only way to grow a complex: only
+    the new cells are checked.
 
     Returns
     -------
@@ -379,18 +355,22 @@ def add_cells(complex_, new_cells):
     InvalidCell
         If any new cell fails the 2-cell invariants for the complex's graph.
     """
-    seen = {c.canonical() for c in complex_.cells}
+    keys = set(complex_.keys)
     added = []
     dropped = []
     for cell in new_cells:
         check_cell(complex_.graph, cell)
         key = cell.canonical()
-        if key in seen:
+        if key in keys:
             dropped.append(cell)
             continue
-        seen.add(key)
+        keys.add(key)
         added.append(cell)
-    out = CellComplex(complex_.graph, complex_.cells + tuple(added))
+    # Every cell of the result is now validated, so skip the constructor.
+    out = object.__new__(CellComplex)
+    out.graph = complex_.graph
+    out.cells = complex_.cells + tuple(added)
+    out.keys = frozenset(keys)
     return out, tuple(added), tuple(dropped)
 
 
@@ -430,3 +410,31 @@ def tree_cycle(graph, forest_edges, closing_edge):
         node, eid = parent[node]
         cycle.add(eid)
     return cycle
+
+
+def kruskal(graph, order, forest):
+    """Grow a spanning forest greedily: take the edges in ``order``, add each
+    one that joins two components to ``forest`` (a set of edge ids, grown in
+    place), and yield each one that closes a cycle instead.  Right after a
+    yield, ``tree_cycle(graph, forest, edge)`` is that edge's cycle; once the
+    generator is exhausted, ``forest`` is the whole spanning forest."""
+    uf = UnionFind(graph.node_count)
+    for e in order:
+        e = int(e)
+        u, v = graph.edges[e]
+        if uf.union(u, v):
+            forest.add(e)
+        else:
+            yield e
+
+
+def random_tree_cell(graph, rng):
+    """One cell drawn as: random-order greedy spanning tree, uniform non-tree
+    edge (in edge-id order), closed through the tree.  Raises ValueError if
+    the graph has no cycle."""
+    tree = set()
+    non_tree = sorted(kruskal(graph, rng.permutation(graph.edge_count), tree))
+    if not non_tree:
+        raise ValueError("graph contains no cycle")
+    closing = non_tree[rng.integers(len(non_tree))]
+    return boundary_from_edge_set(graph, tree_cycle(graph, tree, closing))

@@ -13,7 +13,7 @@ cumulative_solver_calls,cumulative_solver_iterations``; floats carry
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -23,7 +23,7 @@ from . import fileio
 from .baselines import SphConfig, infer_random, infer_sph
 from .complexes import CellComplex, InvalidCell
 from .fileio import InvariantViolation, ParseError
-from .hodge import SolverConfig, make_timer
+from .hodge import SolverConfig, loss, make_timer, remove_gradient
 from .mfci import InferenceConfig, infer_mfci
 from .synth import SynthConfig, random_complex, sample_flows, save_dataset
 
@@ -72,6 +72,8 @@ class ExperimentConfig:
 
 
 class TraceRecord(NamedTuple):
+    """One trace CSV row as ``read_trace`` returns it."""
+
     iteration: int
     cells_total: int
     loss: float
@@ -83,26 +85,23 @@ class TraceRecord(NamedTuple):
 TRACE_HEADER = "iteration,cells_total,loss,cumulative_seconds,cumulative_solver_calls,cumulative_solver_iterations"
 
 
-def trace_to_records(trace):
-    return [TraceRecord(r.iteration, r.cells_total, r.loss, r.cumulative_seconds,
-                        r.cumulative_solver_calls, r.cumulative_solver_iterations)
-            for r in trace.records]
+def _trace_row(r):
+    return ",".join([
+        str(r.iteration),
+        str(r.cells_total),
+        format(r.loss, ".9g"),
+        format(r.cumulative_seconds, ".9g"),
+        str(r.cumulative_solver_calls),
+        str(r.cumulative_solver_iterations),
+    ])
 
 
 def write_trace(records, path):
-    """Write trace records as CSV (see module docstring for the format)."""
+    """Write trace records (``TraceRecord`` or ``IterationRecord``) as CSV
+    (see module docstring for the format)."""
     if not records:
         raise ValueError("no records to write")
-    lines = [TRACE_HEADER]
-    for r in records:
-        lines.append(",".join([
-            str(r.iteration),
-            str(r.cells_total),
-            format(r.loss, ".9g"),
-            format(r.cumulative_seconds, ".9g"),
-            str(r.cumulative_solver_calls),
-            str(r.cumulative_solver_iterations),
-        ]))
+    lines = [TRACE_HEADER] + [_trace_row(r) for r in records]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -197,7 +196,7 @@ def run_experiment(cfg, echo=print):
     for seed in cfg.seeds:
         trace = run_one(cfg, seed)
         path = out_dir / f"trace_{cfg.algo}_seed{seed}.csv"
-        write_trace(trace_to_records(trace), path)
+        write_trace(trace.records, path)
         final = trace.final
         echo(f"algo={cfg.algo} seed={seed} cells={final.cells_total} "
              f"loss={format(final.loss, '.9g')} seconds={format(final.cumulative_seconds, '.9g')} "
@@ -213,24 +212,14 @@ def run_bench(cfg, algos, echo=print):
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = ["algo,seed," + TRACE_HEADER]
     for algo in algos:
-        algo_cfg = _replace_algo(cfg, algo)
+        algo_cfg = replace(cfg, algo=algo)
         for seed in cfg.seeds:
             trace = run_one(algo_cfg, seed)
-            for r in trace_to_records(trace):
-                lines.append(f"{algo},{seed}," + ",".join([
-                    str(r.iteration), str(r.cells_total), format(r.loss, ".9g"),
-                    format(r.cumulative_seconds, ".9g"),
-                    str(r.cumulative_solver_calls), str(r.cumulative_solver_iterations)]))
+            lines.extend(f"{algo},{seed}," + _trace_row(r) for r in trace.records)
             echo(f"bench: algo={algo} seed={seed} final_loss={format(trace.final.loss, '.9g')}")
     path = out_dir / "bench.csv"
     path.write_text("\n".join(lines) + "\n")
     return path
-
-
-def _replace_algo(cfg, algo):
-    import dataclasses
-
-    return dataclasses.replace(cfg, algo=algo)
 
 
 # ---------------------------------------------------------------------------
@@ -361,9 +350,7 @@ def synth_dataset_from_config(path, out_dir, seed=None):
     if synth is None:
         raise ValueError("config has no synth.* section")
     if seed is not None:
-        import dataclasses
-
-        synth = dataclasses.replace(synth, seed=seed)
+        synth = replace(synth, seed=seed)
     rng = np.random.default_rng(synth.seed)
     complex_ = random_complex(synth, rng)
     flows = sample_flows(complex_, synth.flow_count, synth.cell_std, synth.noise_std, rng)
@@ -377,8 +364,6 @@ def evaluate_cells_from_config(path):
     if data is None or data.cells is None:
         raise ValueError("eval requires data.edges, data.flows and data.cells")
     graph, flows, truth = load_dataset(data)
-    from .hodge import loss, remove_gradient
-
     solver = solver_from_raw(raw)
     flows0 = remove_gradient(graph, flows, solver)
     return loss(truth, flows0, solver)

@@ -1,10 +1,16 @@
-"""Matrix-factorization cell inference (MFCI).
+"""Matrix-factorization cell inference (MFCI), and the greedy loop it shares
+with the baselines.
 
 Each iteration factors the current harmonic flows at low rank, discretizes
 the best factor columns into simple cycles, optionally evaluates the
 candidate cells by their exact post-addition loss, adds the winners, and
 updates the harmonic flows either exactly (one iterative solve) or by the
 cheap span-projection approximation (no iterative solve at all).
+
+``_greedy_loop`` owns what MFCI, SPH and the random baseline have in
+common: flow shaping, gradient removal, solver accounting, the clock, the
+cell budget and the trace.  Each ``infer_*`` supplies only its step.  The
+forest growth behind deterministic discretization is ``complexes.kruskal``.
 """
 
 from __future__ import annotations
@@ -16,9 +22,9 @@ import numpy as np
 
 from .complexes import (
     CellComplex,
-    UnionFind,
     add_cells,
     boundary_from_edge_set,
+    kruskal,
     tree_cycle,
     validate_cycle,
 )
@@ -108,8 +114,8 @@ class InferenceConfig:
 @dataclass(frozen=True)
 class IterationRecord:
     """One row of an inference trace.  ``loss`` is always the exact loss of
-    the complex after this iteration, even in approximate-projection mode
-    (the reporting recomputation is neither timed nor counted)."""
+    the complex after this iteration, even in approximate-projection mode;
+    ``_greedy_loop`` states what the loss, seconds and solver counts cover."""
 
     iteration: int
     cells_added: tuple
@@ -159,16 +165,12 @@ def discretize_deterministic(graph, b):
     if b.shape != (m,):
         raise ValueError("weight vector length must equal the edge count")
     order = np.lexsort((np.arange(m), -np.abs(b)))
-    uf = UnionFind(graph.node_count)
     forest = set()
-    for e in order:
-        u, v = graph.edges[e]
-        if uf.find(u) == uf.find(v):
-            cycle = tree_cycle(graph, forest, e)
-            return _align_sign(b, boundary_from_edge_set(graph, cycle))
-        uf.union(u, v)
-        forest.add(int(e))
-    raise GraphIsForest("graph has no cycle")
+    # Only the first cycle is needed, so the rest of the forest is never grown.
+    closing = next(kruskal(graph, order, forest), None)
+    if closing is None:
+        raise GraphIsForest("graph has no cycle")
+    return _align_sign(b, boundary_from_edge_set(graph, tree_cycle(graph, forest, closing)))
 
 
 def discretize_random_walk(graph, b, rng, restarts=20):
@@ -238,22 +240,17 @@ def candidate_search(complex_, flows_h, cfg, rng):
     columns = select_columns(fact, scores, cfg.candidates_per_iteration)
 
     graph = complex_.graph
-    seen = {c.canonical() for c in complex_.cells}
-    candidates = []
+    cells = []
     for b in columns:
         try:
             if cfg.discretization == "random_walk":
-                cell = discretize_random_walk(graph, b, rng)
+                cells.append(discretize_random_walk(graph, b, rng))
             else:
-                cell = discretize_deterministic(graph, b)
+                cells.append(discretize_deterministic(graph, b))
         except (GraphIsForest, WalkFailed):
             continue
-        key = cell.canonical()
-        if key in seen:
-            continue
-        seen.add(key)
-        candidates.append(cell)
-    return candidates, fact
+    _, candidates, _ = add_cells(complex_, cells)
+    return list(candidates), fact
 
 
 def evaluate_and_select(complex_, flows_gradfree, candidates, count, cfg, tally=None):
@@ -271,17 +268,72 @@ def evaluate_and_select(complex_, flows_gradfree, candidates, count, cfg, tally=
         return list(candidates[:count])
     scored = []
     for cell in candidates:
-        trial = CellComplex(complex_.graph, complex_.cells + (cell,))
+        trial, _, _ = add_cells(complex_, [cell])
         scored.append(loss(trial, flows_gradfree, cfg.solver, tally))
     order = np.argsort(scored, kind="stable")[:count]
     return [candidates[i] for i in order]
 
 
-def infer_mfci(graph, flows, cfg, rng=None, timer=None):
-    """Run the full inference loop on raw flows.
+def _flow_matrix(graph, flows):
+    """Flows as a float edges-by-samples matrix (a vector is one sample)."""
+    flows = np.asarray(flows, dtype=np.float64)
+    if flows.ndim == 1:
+        flows = flows[:, None]
+    if flows.shape[0] != graph.edge_count:
+        raise ValueError("flow matrix rows must equal the graph's edge count")
+    return flows
 
-    Gradient components are removed once at ingestion (one counted solve).
-    The loop then alternates candidate search, selection, and cell addition
+
+def _greedy_loop(graph, flows, total_cells, solver, timer, steps):
+    """The greedy loop of MFCI, SPH and the random baseline.
+
+    The gradient is removed once (one counted solve) and the start is
+    recorded as iteration 0.  ``steps(complex_, flows0, tally)`` is a
+    generator that grows the complex through ``add_cells``, yields
+    ``(complex_, added, loss, notes)`` per iteration and returns to stop
+    early.  It is resumed only while the complex holds fewer than
+    ``total_cells`` cells, so each step must fit the remaining budget.
+
+    Trace policy: ``loss`` is the exact loss after the iteration, as the step
+    yields it (SPH's winning evaluated loss, MFCI-exact's projection norm)
+    or, where it yields None (MFCI-approximate, random), from a reporting
+    recompute.  That recompute is neither timed nor counted; the seconds
+    and the solver counts cover everything else, gradient removal included.
+    Returns ``(complex, trace)``.
+    """
+    flows = _flow_matrix(graph, flows)
+    if timer is None:
+        timer = make_timer()
+
+    tally = SolverTally()
+    t0 = timer()
+    excluded = 0.0
+    flows0 = remove_gradient(graph, flows, solver, tally)
+    complex_ = CellComplex(graph)
+    records = [IterationRecord(0, (), 0, float(np.linalg.norm(flows0)), timer() - t0,
+                               tally.calls, tally.iterations)]
+    iterations = steps(complex_, flows0, tally)
+    iteration = 0
+    while complex_.cell_count < total_cells:
+        step = next(iterations, None)
+        if step is None:
+            break
+        iteration += 1
+        complex_, added, exact_loss, notes = step
+        if exact_loss is None:
+            mark = timer()
+            exact_loss = loss(complex_, flows0, solver)
+            excluded += timer() - mark
+        records.append(IterationRecord(iteration, added, complex_.cell_count, exact_loss,
+                                       timer() - t0 - excluded, tally.calls,
+                                       tally.iterations, tuple(notes)))
+    return complex_, InferenceTrace(tuple(records))
+
+
+def infer_mfci(graph, flows, cfg, rng=None, timer=None):
+    """Run the full inference loop on raw flows (see ``_greedy_loop``).
+
+    Each iteration runs candidate search, selection, and cell addition,
     until the complex reaches ``cfg.total_cells`` cells, the candidates run
     dry, or the remaining flows degenerate to zero.  The final batch is
     truncated so the cell budget is met exactly.
@@ -289,57 +341,37 @@ def infer_mfci(graph, flows, cfg, rng=None, timer=None):
     Returns ``(complex, trace)``; the trace holds one record for the initial
     state (iteration 0) and one per loop iteration.
     """
-    flows = np.asarray(flows, dtype=np.float64)
-    if flows.ndim == 1:
-        flows = flows[:, None]
-    if flows.shape[0] != graph.edge_count:
-        raise ValueError("flow matrix rows must equal the graph's edge count")
+    flows = _flow_matrix(graph, flows)
     if cfg.rank > min(flows.shape):
         raise ValueError(f"factorization rank {cfg.rank} exceeds min(m, s) = {min(flows.shape)}")
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    if timer is None:
-        timer = make_timer()
 
-    tally = SolverTally()
-    t0 = timer()
-    excluded = 0.0
-    flows0 = remove_gradient(graph, flows, cfg.solver, tally)
-    complex_ = CellComplex(graph)
-    current = flows0.copy()
+    def steps(complex_, flows0, tally):
+        current = flows0
+        while True:
+            notes = []
+            try:
+                candidates, fact = candidate_search(complex_, current, cfg, rng)
+            except DegenerateInput:
+                return
+            if not candidates:
+                return
+            wanted = min(cfg.added_per_iteration, cfg.total_cells - complex_.cell_count)
+            chosen = evaluate_and_select(complex_, flows0, candidates, wanted, cfg, tally)
+            complex_, added, _ = add_cells(complex_, chosen)
+            if not added:
+                return
+            if len(added) < wanted:
+                notes.append("shortfall")
+            if cfg.projection == "exact":
+                current = harmonic_projection(complex_, flows0, cfg.solver, tally)
+                yield complex_, added, float(np.linalg.norm(current)), notes
+            else:
+                update = approx_harmonic_update(current, list(added), fact)
+                current = update.flows
+                if update.degenerate_span:
+                    notes.append("degenerate-span")
+                yield complex_, added, None, notes
 
-    records = [IterationRecord(0, (), 0, float(np.linalg.norm(flows0)), timer() - t0,
-                               tally.calls, tally.iterations)]
-    iteration = 0
-    while complex_.cell_count < cfg.total_cells:
-        iteration += 1
-        notes = []
-        try:
-            candidates, fact = candidate_search(complex_, current, cfg, rng)
-        except DegenerateInput:
-            break
-        if not candidates:
-            break
-        budget = cfg.total_cells - complex_.cell_count
-        chosen = evaluate_and_select(complex_, flows0, candidates,
-                                     min(cfg.added_per_iteration, budget), cfg, tally)
-        complex_, added, _ = add_cells(complex_, chosen)
-        if not added:
-            break
-        if len(added) < min(cfg.added_per_iteration, budget):
-            notes.append("shortfall")
-        if cfg.projection == "exact":
-            current = harmonic_projection(complex_, flows0, cfg.solver, tally)
-            exact_loss = float(np.linalg.norm(current))
-        else:
-            update = approx_harmonic_update(current, list(added), fact)
-            current = update.flows
-            if update.degenerate_span:
-                notes.append("degenerate-span")
-            mark = timer()
-            exact_loss = loss(complex_, flows0, cfg.solver)
-            excluded += timer() - mark
-        records.append(IterationRecord(iteration, added, complex_.cell_count, exact_loss,
-                                       timer() - t0 - excluded, tally.calls,
-                                       tally.iterations, tuple(notes)))
-    return complex_, InferenceTrace(tuple(records))
+    return _greedy_loop(graph, flows, cfg.total_cells, cfg.solver, timer, steps)

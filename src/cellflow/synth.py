@@ -9,10 +9,12 @@ noise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .complexes import CellComplex, OrientedGraph, UnionFind, boundary_from_edge_set, tree_cycle
+from .complexes import CellComplex, OrientedGraph, UnionFind, add_cells, random_tree_cell
+from .hodge import SolverConfig, loss, remove_gradient
 from . import fileio
 
 
@@ -71,22 +73,6 @@ def _largest_component_graph(node_count, drawn_edges):
     return OrientedGraph(len(kept_nodes), edges)
 
 
-def _random_tree_cell(graph, rng):
-    """One cell drawn as: random-order greedy spanning tree, uniform non-tree
-    edge, closed through the tree."""
-    m = graph.edge_count
-    order = rng.permutation(m)
-    uf = UnionFind(graph.node_count)
-    tree = set()
-    for e in order:
-        u, v = graph.edges[e]
-        if uf.union(u, v):
-            tree.add(int(e))
-    non_tree = [e for e in range(m) if e not in tree]
-    closing = non_tree[rng.integers(len(non_tree))]
-    return boundary_from_edge_set(graph, tree_cycle(graph, tree, closing))
-
-
 def random_complex(cfg, rng=None):
     """Sample a random cell complex per the config.
 
@@ -117,20 +103,15 @@ def random_complex(cfg, rng=None):
         raise GenerationFailed(
             f"no Erdos-Renyi draw with >= {cfg.planted_cells} independent cycles in 1000 tries")
 
-    cells = []
-    seen = set()
+    complex_ = CellComplex(graph)
     retries = 0
-    while len(cells) < cfg.planted_cells:
-        cell = _random_tree_cell(graph, rng)
-        key = cell.canonical()
-        if key in seen:
+    while complex_.cell_count < cfg.planted_cells:
+        complex_, added, _ = add_cells(complex_, [random_tree_cell(graph, rng)])
+        if not added:
             retries += 1
             if retries > 1000:
                 raise GenerationFailed("planted-cell sampling kept drawing duplicates")
-            continue
-        seen.add(key)
-        cells.append(cell)
-    return CellComplex(graph, cells)
+    return complex_
 
 
 def sample_flows(complex_, flow_count, cell_std, noise_std, rng):
@@ -149,8 +130,6 @@ def sample_flows(complex_, flow_count, cell_std, noise_std, rng):
 def reference_loss(complex_, flows, solver_cfg=None):
     """Exact loss of the planted (ground-truth) complex on its own flows:
     the benchmark's noise-floor reference."""
-    from .hodge import SolverConfig, loss, remove_gradient
-
     cfg = solver_cfg if solver_cfg is not None else SolverConfig()
     flows0 = remove_gradient(complex_.graph, flows, cfg)
     return loss(complex_, flows0, cfg)
@@ -160,8 +139,6 @@ def save_dataset(directory, complex_, flows, cfg=None):
     """Write an instance to ``directory`` in the plain-text dataset formats:
     ``edges.txt``, ``cells.txt``, ``flows.csv``, and a ``meta.txt`` echo of
     the generating config (when given)."""
-    from pathlib import Path
-
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     fileio.write_edge_list(directory / "edges.txt", complex_.graph)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cellflow import complexes
 from cellflow.complexes import (
     CellBoundary,
     CellComplex,
@@ -151,6 +152,27 @@ class TestAddCells:
         bad = CellBoundary(6, [0, 1, 2], [1, 1, 1])  # star at node 0, not a cycle
         with pytest.raises(InvalidCell):
             add_cells(CellComplex(g), [bad])
+
+    def test_grown_complex_checks_only_new_cells(self, monkeypatch):
+        g = k4()
+        prefix = [validate_cycle(g, [0, 1, 2, 0]), validate_cycle(g, [0, 1, 3, 0]),
+                  validate_cycle(g, [0, 2, 3, 0])]
+        cpx = CellComplex(g, prefix)
+        checked = []
+
+        def counting_check(graph, cell):
+            checked.append(cell)
+            check_cell(graph, cell)
+
+        monkeypatch.setattr(complexes, "check_cell", counting_check)
+        new = validate_cycle(g, [1, 2, 3, 1])
+        grown, added, dropped = add_cells(cpx, [new])
+        assert checked == [new]
+        assert grown.cells == tuple(prefix) + (new,) and added == (new,) and not dropped
+        with pytest.raises(InvalidCell):
+            add_cells(grown, [CellBoundary(6, [0, 1, 2], [1, 1, 1])])
+        again, added, dropped = add_cells(grown, [-prefix[1]])
+        assert again.cells == grown.cells and not added and dropped == (-prefix[1],)
 
     def test_unbalanced_signs_rejected(self):
         g = t3()

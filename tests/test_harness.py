@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from cellflow import cli
+from cellflow.baselines import SphConfig
 from cellflow.fileio import (
     InvariantViolation,
     ParseError,
@@ -18,6 +21,7 @@ from cellflow.harness import (
     load_dataset,
     read_trace,
     relative_performance,
+    run_bench,
     run_experiment,
     write_trace,
 )
@@ -206,6 +210,28 @@ class TestRunExperiment:
         for seed in (7, 8):
             name = f"trace_mfci_seed{seed}.csv"
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_bench_rows_match_experiment_traces(self, tmp_path):
+        cfg = ExperimentConfig(
+            algo="mfci", seeds=(5, 6), out_dir=tmp_path / "bench",
+            synth=SynthConfig(10, 0.7, 3, 6, 1.0, 0.3),
+            mfci=InferenceConfig(total_cells=3, candidates_per_iteration=2,
+                                 added_per_iteration=2, projection="approximate"),
+            sph=SphConfig(total_cells=3, candidates_per_iteration=2),
+            random_cells=3,
+            timing=False,
+        )
+        algos = ("mfci", "sph", "random")
+        bench = run_bench(cfg, algos, echo=lambda *_: None).read_text().splitlines()
+        expected = [bench[0]]
+        for algo in algos:
+            out = tmp_path / algo
+            run_experiment(replace(cfg, algo=algo, out_dir=out), echo=lambda *_: None)
+            for seed in cfg.seeds:
+                trace = (out / f"trace_{algo}_seed{seed}.csv").read_text().splitlines()
+                assert bench[0] == "algo,seed," + trace[0]
+                expected += [f"{algo},{seed}," + row for row in trace[1:]]
+        assert bench == expected
 
     def test_fast_mfci_reports_single_solver_call(self, tmp_path):
         cfg = ExperimentConfig(

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cellflow.complexes import CellComplex, OrientedGraph, validate_cycle
+from cellflow.baselines import max_spanning_tree
+from cellflow.complexes import (
+    CellComplex,
+    OrientedGraph,
+    boundary_from_edge_set,
+    tree_cycle,
+    validate_cycle,
+)
 from cellflow.hodge import SolverTally, harmonic_projection, remove_gradient
 from cellflow.mfci import (
     GraphIsForest,
@@ -94,6 +103,39 @@ class TestDiscretizeDeterministic:
         b = np.array([0.3, -0.9, 0.4, 0.2, 0.8, -0.1])
         first = discretize_deterministic(g, b)
         assert all(discretize_deterministic(g, b) == first for _ in range(5))
+
+
+@st.composite
+def cyclic_graphs_and_weights(draw):
+    """A connected graph with at least one cycle, in shuffled edge order and
+    orientation, plus edge weights that include ties and zeros."""
+    n = draw(st.integers(3, 8))
+    tree = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+    others = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in tree]
+    extra = draw(st.lists(st.sampled_from(others), min_size=1, unique=True))
+    edges = draw(st.permutations(sorted(tree) + extra))
+    edges = [(v, u) if draw(st.booleans()) else (u, v) for u, v in edges]
+    weight = st.one_of(st.integers(-3, 3).map(float),
+                       st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False))
+    b = draw(st.lists(weight, min_size=len(edges), max_size=len(edges)))
+    return OrientedGraph(n, edges), np.array(b)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(cyclic_graphs_and_weights())
+def test_discretize_deterministic_closes_first_non_tree_edge(case):
+    # The forest grown up to the first cycle is part of the max spanning
+    # tree, so the first non-tree edge in |b| order closes the same cycle.
+    g, b = case
+    tree = max_spanning_tree(g, np.abs(b))
+    order = np.lexsort((np.arange(g.edge_count), -np.abs(b)))
+    closing = next(int(e) for e in order if int(e) not in tree)
+    expected = boundary_from_edge_set(g, tree_cycle(g, tree, closing))
+    cell = discretize_deterministic(g, b)
+    assert cell == expected or cell == -expected
+    heaviest = int(cell.edges[np.argmax(np.abs(b[cell.edges]))])
+    if b[heaviest] != 0:
+        assert cell.sign_of(heaviest) == np.sign(b[heaviest])
 
 
 class TestDiscretizeRandomWalk:
