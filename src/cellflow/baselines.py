@@ -3,8 +3,11 @@
 The SPH variant here builds a maximum-weight spanning tree on the aggregate
 absolute harmonic flow, closes candidate cycles through the heaviest
 non-tree edges, and greedily adds the single candidate that lowers the
-exact loss the most.  It is a faithful-in-spirit reference point, not a
-bit-exact port of any particular prior implementation.
+exact loss the most.  All candidates are scored from one rank-one solve
+(``hodge.rank_one_scores``), and the harmonic flows follow the winner's
+rank-one update instead of a fresh projection.  It is a faithful-in-spirit
+reference point, not a bit-exact port of any particular prior
+implementation.
 
 Both baselines supply only their step to ``mfci._greedy_loop``, which runs
 the loop and writes the trace.  The spanning trees are grown by
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes import add_cells, boundary_from_edge_set, kruskal, random_tree_cell, tree_cycle
-from .hodge import SolverConfig, harmonic_projection, loss
+from .hodge import SolverConfig, rank_one_scores
 from .mfci import _greedy_loop
 
 
@@ -81,26 +84,28 @@ def sph_candidates(complex_, flows_h, count):
 def infer_sph(graph, flows, cfg, rng=None, timer=None):
     """Greedy spanning-tree inference.
 
-    Each iteration recomputes the exact harmonic flows (one solve, except on
-    the empty complex where no solve is needed), evaluates every candidate
-    by its exact post-addition loss (one solve each), and adds the single
-    best cell.  ``rng`` is accepted for interface symmetry; the heuristic
-    itself is deterministic.
+    Each iteration draws candidates from the current harmonic flows h,
+    scores them all by their exact post-addition loss with one rank-one
+    solve (none on the empty complex, so the counts run 1, 1, 2, 3, ...),
+    adds the single best cell, and moves h by that cell's rank-one update;
+    the recorded loss is ||h||.  ``rng`` is accepted for interface
+    symmetry; the heuristic itself is deterministic.
     """
     del rng
 
     def steps(complex_, flows0, tally):
+        current = flows0
         while True:
-            current = harmonic_projection(complex_, flows0, cfg.solver, tally)
             candidates = [c for c in sph_candidates(complex_, current, cfg.candidates_per_iteration)
                           if c.canonical() not in complex_.keys]
             if not candidates:
                 return
-            trials = [add_cells(complex_, [cell]) for cell in candidates]
-            losses = [loss(trial, flows0, cfg.solver, tally) for trial, _, _ in trials]
-            best = int(np.argmin(losses))  # ties: the first candidate
-            complex_, added, _ = trials[best]
-            yield complex_, added, losses[best], ()
+            scores = rank_one_scores(complex_, current, candidates, cfg.solver, tally)
+            best = scores.best(1)[0]
+            complex_, added, _ = add_cells(complex_, [candidates[best]])
+            current = scores.harmonic_after(current, best)
+            notes = () if scores.converged else ("solver-nonconverged",)
+            yield complex_, added, float(np.linalg.norm(current)), notes
 
     return _greedy_loop(graph, flows, cfg.total_cells, cfg.solver, timer, steps)
 

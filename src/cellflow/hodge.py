@@ -50,14 +50,17 @@ class SolverConfig:
 
 @dataclass
 class SolverTally:
-    """Mutable accumulator for solver-call accounting in inference loops."""
+    """Mutable accumulator for solver-call accounting in inference loops;
+    ``nonconverged`` counts the calls that ran out of iterations."""
 
     calls: int = 0
     iterations: int = 0
+    nonconverged: int = 0
 
     def count(self, result):
         self.calls += 1
         self.iterations += result.iterations
+        self.nonconverged += not result.converged
 
 
 class LeastSquaresResult(NamedTuple):
@@ -294,6 +297,70 @@ def harmonic_projection(complex_, flows, cfg=SolverConfig(), tally=None):
 def loss(complex_, flows, cfg=SolverConfig(), tally=None):
     """Frobenius norm of the harmonic component of gradient-free flows."""
     return float(np.linalg.norm(harmonic_projection(complex_, flows, cfg, tally)))
+
+
+class RankOneScores(NamedTuple):
+    """Per-candidate scores from ``rank_one_scores``.
+
+    ``losses[i]`` is the loss after adding candidate i alone, ``directions``
+    holds each candidate's boundary minus its curl projection (b_h, one
+    column each) and ``weights`` the matching least-squares coefficients
+    (c, one row each).  ``converged`` is the scoring solve's flag.
+    """
+
+    losses: np.ndarray
+    directions: np.ndarray
+    weights: np.ndarray
+    converged: bool
+
+    def best(self, count):
+        """Indices of the ``count`` lowest losses, best first.  Losses within
+        1e-9 (relative) of the lowest remaining one are ties, and ties go to
+        the earlier candidate."""
+        remaining = list(range(len(self.losses)))
+        picked = []
+        while remaining and len(picked) < count:
+            floor = min(self.losses[i] for i in remaining)
+            pick = next(i for i in remaining if self.losses[i] <= floor + 1e-9 * floor)
+            remaining.remove(pick)
+            picked.append(pick)
+        return picked
+
+    def harmonic_after(self, flows_h, i):
+        """The harmonic flows after adding candidate i: ``h - b_h c``."""
+        return flows_h - np.outer(self.directions[:, i], self.weights[i]).reshape(flows_h.shape)
+
+
+def rank_one_scores(complex_, flows_h, candidates, cfg=SolverConfig(), tally=None):
+    """Score every candidate cell by the exact loss of the complex with that
+    cell added, from one least-squares solve.
+
+    ``flows_h`` must be the exact harmonic flows of ``complex_``.  Adding a
+    boundary b moves h to ``h - b_h c`` with ``b_h = b - P_curl b`` and
+    ``c = b_h^T h / ||b_h||^2``, so one multi-right-hand-side solve against
+    the boundary matrix yields every b_h (counted as one call; the empty
+    complex needs none).  A candidate already in the curl span
+    (``||b_h|| ~ 0``) scores the unchanged loss.
+    """
+    flows_h = np.asarray(flows_h, dtype=np.float64)
+    h = flows_h.reshape(flows_h.shape[0], -1)
+    boundaries = np.stack([cell.dense() for cell in candidates], axis=1)
+    bh = boundaries
+    converged = True
+    if complex_.cell_count:
+        B2 = complex_.boundary_matrix(dtype=np.float64).tocsr()
+        res = least_squares(B2, boundaries, cfg)
+        if tally is not None:
+            tally.count(res)
+        bh = boundaries - B2 @ res.solution
+        converged = res.converged
+    norms = _column_norms(bh)
+    # ||b_h|| <= 1e-10 ||b||: b is (numerically) in the curl span already.
+    spanned = norms <= 1e-10 * _column_norms(boundaries)
+    weights = (bh.T @ h) / np.where(spanned, np.inf, norms**2)[:, None]
+    losses = np.array([np.linalg.norm(h - np.outer(bh[:, i], weights[i]))
+                       for i in range(bh.shape[1])])
+    return RankOneScores(losses, bh, weights, converged)
 
 
 def hodge_decompose(graph, complex_, flows, cfg=SolverConfig(), tally=None):

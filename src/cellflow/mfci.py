@@ -2,10 +2,11 @@
 with the baselines.
 
 Each iteration factors the current harmonic flows at low rank, discretizes
-the best factor columns into simple cycles, optionally evaluates the
-candidate cells by their exact post-addition loss, adds the winners, and
-updates the harmonic flows either exactly (one iterative solve) or by the
-cheap span-projection approximation (no iterative solve at all).
+the best factor columns into simple cycles, optionally scores the
+candidate cells by their exact post-addition loss (all of them from one
+rank-one solve, ``hodge.rank_one_scores``), adds the winners, and updates
+the harmonic flows either exactly (one iterative solve) or by the cheap
+span-projection approximation (no iterative solve at all).
 
 ``_greedy_loop`` owns what MFCI, SPH and the random baseline have in
 common: flow shaping, gradient removal, solver accounting, the clock, the
@@ -43,6 +44,7 @@ from .hodge import (
     harmonic_projection,
     loss,
     make_timer,
+    rank_one_scores,
     remove_gradient,
 )
 
@@ -231,13 +233,15 @@ def candidate_search(complex_, flows_h, cfg, rng):
     DegenerateInput
         Propagated from the factorization when the flows are spent.
     """
+    l = cfg.candidates_per_iteration
     if cfg.method == "ica":
         ica_cfg = dataclasses.replace(cfg.ica, seed=int(rng.integers(2**63)))
         fact = fast_ica(flows_h, cfg.rank, ica_cfg)
+        # fast_ica already orders its columns by ascending column score.
+        columns = [fact.B[:, j].copy() for j in range(l)]
     else:
         fact = truncated_svd(flows_h, cfg.rank)
-    scores = column_scores(flows_h, fact)
-    columns = select_columns(fact, scores, cfg.candidates_per_iteration)
+        columns = select_columns(fact, column_scores(flows_h, fact), l)
 
     graph = complex_.graph
     cells = []
@@ -253,25 +257,24 @@ def candidate_search(complex_, flows_h, cfg, rng):
     return list(candidates), fact
 
 
-def evaluate_and_select(complex_, flows_gradfree, candidates, count, cfg, tally=None):
+def evaluate_and_select(complex_, flows_h, candidates, count, cfg, tally=None):
     """Pick ``count`` cells from the candidates.
 
-    With evaluation on, each candidate is scored by the exact loss of the
-    complex with that single cell added (one iterative solve per candidate)
-    and the lowest losses win, ties in candidate order.  With evaluation
-    off the leading ``count`` candidates pass through with zero solves.
-    Fewer candidates than ``count`` simply all pass.
+    ``flows_h`` are the exact harmonic flows of ``complex_`` (on an empty
+    complex, the gradient-free flows).  With evaluation on, each candidate
+    is scored by the exact loss of the complex with that single cell added,
+    all of them from one rank-one solve (``hodge.rank_one_scores``: one
+    counted solve, none on an empty complex), and the lowest losses win;
+    losses within 1e-9 relative count as ties, which go to candidate order.
+    With evaluation off the leading ``count`` candidates pass through with
+    zero solves.  Fewer candidates than ``count`` simply all pass.
     """
     if not candidates:
         return []
     if not cfg.evaluate_candidates:
         return list(candidates[:count])
-    scored = []
-    for cell in candidates:
-        trial, _, _ = add_cells(complex_, [cell])
-        scored.append(loss(trial, flows_gradfree, cfg.solver, tally))
-    order = np.argsort(scored, kind="stable")[:count]
-    return [candidates[i] for i in order]
+    scores = rank_one_scores(complex_, flows_h, candidates, cfg.solver, tally)
+    return [candidates[i] for i in scores.best(count)]
 
 
 def _flow_matrix(graph, flows):
@@ -295,10 +298,12 @@ def _greedy_loop(graph, flows, total_cells, solver, timer, steps):
     ``total_cells`` cells, so each step must fit the remaining budget.
 
     Trace policy: ``loss`` is the exact loss after the iteration, as the step
-    yields it (SPH's winning evaluated loss, MFCI-exact's projection norm)
-    or, where it yields None (MFCI-approximate, random), from a reporting
-    recompute.  That recompute is neither timed nor counted; the seconds
-    and the solver counts cover everything else, gradient removal included.
+    yields it (SPH's ||h|| after the winner's rank-one update, MFCI-exact's
+    projection norm) or, where it yields None (MFCI-approximate, random),
+    from a reporting recompute.  That recompute is neither timed nor
+    counted; the seconds and the solver counts cover everything else,
+    gradient removal and candidate scoring included.  A step notes
+    "solver-nonconverged" when its scoring solve ran out of iterations.
     Returns ``(complex, trace)``.
     """
     flows = _flow_matrix(graph, flows)
@@ -358,7 +363,13 @@ def infer_mfci(graph, flows, cfg, rng=None, timer=None):
             if not candidates:
                 return
             wanted = min(cfg.added_per_iteration, cfg.total_cells - complex_.cell_count)
-            chosen = evaluate_and_select(complex_, flows0, candidates, wanted, cfg, tally)
+            harmonic = current
+            if cfg.projection == "approximate" and cfg.evaluate_candidates:
+                harmonic = harmonic_projection(complex_, flows0, cfg.solver, tally)
+            nonconverged = tally.nonconverged
+            chosen = evaluate_and_select(complex_, harmonic, candidates, wanted, cfg, tally)
+            if tally.nonconverged > nonconverged:
+                notes.append("solver-nonconverged")
             complex_, added, _ = add_cells(complex_, chosen)
             if not added:
                 return

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
-from cellflow.complexes import CellComplex, OrientedGraph, validate_cycle
+from cellflow.complexes import (
+    CellComplex,
+    OrientedGraph,
+    add_cells,
+    random_tree_cell,
+    validate_cycle,
+)
 from cellflow.factorize import Factorization
 from cellflow.hodge import (
     SolverConfig,
@@ -12,6 +20,7 @@ from cellflow.hodge import (
     hodge_decompose,
     least_squares,
     loss,
+    rank_one_scores,
     remove_gradient,
 )
 from cellflow.synth import SynthConfig, random_complex
@@ -264,3 +273,89 @@ class TestApproxHarmonicUpdate:
         approx = approx_harmonic_update(H, cells, fact).flows
         exact = harmonic_projection(CellComplex(g, cells), H)
         assert np.allclose(approx, exact, atol=1e-7)
+
+
+def k4_square_and_triangles():
+    """K4's triangles 0-1-2 and 0-2-3 and the square 0-1-2-3 they sum to."""
+    g = k4()
+    tri1 = validate_cycle(g, [0, 1, 2, 0])
+    tri2 = validate_cycle(g, [0, 2, 3, 0])
+    square = validate_cycle(g, [0, 1, 2, 3, 0])
+    assert np.array_equal(square.dense(), tri1.dense() + tri2.dense())
+    return g, tri1, tri2, square
+
+
+def assert_scores_match_reprojection(complex_, flows0, candidates):
+    h = harmonic_projection(complex_, flows0)
+    scores = rank_one_scores(complex_, h, candidates)
+    assert np.isfinite(scores.losses).all() and np.isfinite(scores.weights).all()
+    for cell, score in zip(candidates, scores.losses):
+        expected = loss(add_cells(complex_, [cell])[0], flows0)
+        assert score == pytest.approx(expected, rel=1e-8)
+    return scores
+
+
+class TestRankOneScores:
+    def test_empty_complex_runs_no_solve(self):
+        g, tri1, _, square = k4_square_and_triangles()
+        tally = SolverTally()
+        scores = rank_one_scores(CellComplex(g), tri1.dense(), [tri1, square], tally=tally)
+        assert tally.calls == 0 and scores.converged
+        assert scores.losses[0] == pytest.approx(0.0, abs=1e-12)
+        assert np.array_equal(scores.directions[:, 1], square.dense())
+
+    def test_one_counted_solve_for_all_candidates(self):
+        g, tri1, tri2, square = k4_square_and_triangles()
+        tally = SolverTally()
+        F = np.random.default_rng(3).standard_normal((6, 4))
+        cpx = CellComplex(g, [tri1])
+        rank_one_scores(cpx, harmonic_projection(cpx, F), [tri2, square], tally=tally)
+        assert tally.calls == 1
+
+    def test_candidate_in_curl_span_scores_unchanged_loss(self):
+        # the square is tri1 + tri2, both already in the complex
+        g, tri1, tri2, square = k4_square_and_triangles()
+        cpx = CellComplex(g, [tri1, tri2])
+        F = remove_gradient(g, np.random.default_rng(5).standard_normal((6, 3)))
+        scores = assert_scores_match_reprojection(cpx, F, [square, -tri1])
+        unchanged = loss(cpx, F)
+        assert scores.losses == pytest.approx([unchanged, unchanged], rel=1e-12)
+        assert not scores.weights.any()
+
+    def test_harmonic_after_is_the_winners_projection(self):
+        g, tri1, tri2, square = k4_square_and_triangles()
+        cpx = CellComplex(g, [tri1])
+        F = remove_gradient(g, np.random.default_rng(6).standard_normal((6, 3)))
+        scores = rank_one_scores(cpx, harmonic_projection(cpx, F), [tri2, square])
+        after = scores.harmonic_after(harmonic_projection(cpx, F), 1)
+        assert np.allclose(after, harmonic_projection(CellComplex(g, [tri1, square]), F),
+                           atol=1e-10)
+        assert np.linalg.norm(after) == pytest.approx(scores.losses[1], rel=1e-12)
+
+
+@st.composite
+def complexes_flows_and_candidates(draw):
+    """A random small complex (a prefix of a planted one), gradient-free
+    flows, and candidates: the rest of the planted cells, random tree cells,
+    and a sign-flipped cell of the complex when it has one (which lies in
+    the curl span)."""
+    seed = draw(st.integers(0, 10**6))
+    planted = draw(st.integers(1, 4))
+    full = random_complex(SynthConfig(draw(st.integers(5, 9)), 0.7, planted, 1, seed=seed))
+    graph = full.graph
+    kept = draw(st.integers(0, planted))
+    complex_ = CellComplex(graph, full.cells[:kept])
+    assume(graph.edge_count - graph.node_count + 1 >= kept + 2)
+    rng = np.random.default_rng(seed)
+    candidates = list(full.cells[kept:]) + [random_tree_cell(graph, rng) for _ in range(3)]
+    if kept:
+        candidates.append(-complex_.cells[0])
+    flows = rng.standard_normal((graph.edge_count, draw(st.integers(1, 4))))
+    return complex_, remove_gradient(graph, flows), candidates
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(complexes_flows_and_candidates())
+def test_rank_one_scores_match_full_reprojection(case):
+    complex_, flows0, candidates = case
+    assert_scores_match_reprojection(complex_, flows0, candidates)

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cellflow import factorize, mfci
 from cellflow.baselines import max_spanning_tree
 from cellflow.complexes import (
     CellComplex,
@@ -11,7 +14,7 @@ from cellflow.complexes import (
     tree_cycle,
     validate_cycle,
 )
-from cellflow.hodge import SolverTally, harmonic_projection, remove_gradient
+from cellflow.hodge import SolverConfig, SolverTally, harmonic_projection, remove_gradient
 from cellflow.mfci import (
     GraphIsForest,
     InferenceConfig,
@@ -194,6 +197,30 @@ class TestCandidateSearch:
         candidates, _ = candidate_search(CellComplex(g), H, cfg, np.random.default_rng(0))
         assert len(candidates) == 1
 
+    def test_ica_scores_columns_once(self, monkeypatch):
+        # fast_ica returns its columns in ascending score order, so the
+        # search takes the leading l columns without scoring them again
+        calls = {"column_scores": 0, "fast_ica": 0}
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(factorize, "column_scores")
+        counting(mfci, "column_scores")
+        counting(mfci, "fast_ica")
+        cpx = random_complex(SynthConfig(12, 0.7, 6, 1, seed=37))
+        flows = sample_flows(cpx, 8, 1.0, 0.2, np.random.default_rng(9))
+        cfg = InferenceConfig(total_cells=6, candidates_per_iteration=2, added_per_iteration=2,
+                              method="ica", projection="approximate")
+        _, trace = infer_mfci(cpx.graph, flows, cfg)
+        assert calls["fast_ica"] >= len(trace.records) - 1 >= 2
+        assert calls["column_scores"] == calls["fast_ica"]
+
     def test_existing_cells_not_reproposed(self):
         g = t3()
         triangle = validate_cycle(g, [0, 1, 2, 0])
@@ -237,6 +264,21 @@ class TestEvaluateAndSelect:
         tally = SolverTally()
         chosen = evaluate_and_select(CellComplex(g), F, cells, 2, cfg, tally)
         assert chosen == cells and tally.calls == 0
+
+    def test_ties_go_to_candidate_order(self):
+        # the square is tri1 + tri2 and tri1 is in the complex, so adding the
+        # square or tri2 gives the same complex span and the same loss; with
+        # these flows the two scores differ by one rounding step (2.2e-16)
+        g = k4()
+        tri1, tri2 = validate_cycle(g, [0, 1, 2, 0]), validate_cycle(g, [0, 2, 3, 0])
+        square = validate_cycle(g, [0, 1, 2, 3, 0])
+        cpx = CellComplex(g, [tri1])
+        F = remove_gradient(g, np.random.default_rng(0).standard_normal((6, 3)))
+        H = harmonic_projection(cpx, F)
+        cfg = InferenceConfig(total_cells=2, candidates_per_iteration=2, added_per_iteration=1)
+        assert evaluate_and_select(cpx, H, [tri2, square], 1, cfg) == [tri2]
+        assert evaluate_and_select(cpx, H, [square, tri2], 1, cfg) == [square]
+        assert evaluate_and_select(cpx, H, [tri1, square, tri2], 2, cfg) == [square, tri2]
 
     def test_shortfall_returns_all(self):
         g = t3()
@@ -298,6 +340,36 @@ class TestInferMfci:
         # only the single gradient-removal call at ingestion is ever counted
         assert all(r.cumulative_solver_calls == 1 for r in trace.records)
         assert complex_.cell_count >= 1
+
+    @pytest.mark.parametrize("projection, expected", [
+        # gradient removal, then (empty complex: no scoring solve) the exact
+        # re-projection, then scoring + re-projection per iteration
+        ("exact", [1, 2, 4, 6, 8, 10]),
+        # gradient removal, then (empty complex: neither the exact harmonic
+        # flows nor the scores need a solve) projection + scoring per iteration
+        ("approximate", [1, 1, 3, 5, 7, 9]),
+    ])
+    def test_best_one_of_l_solver_accounting(self, projection, expected):
+        cpx = random_complex(SynthConfig(12, 0.7, 6, 1, seed=37))
+        flows = sample_flows(cpx, 8, 1.0, 0.2, np.random.default_rng(9))
+        cfg = InferenceConfig(total_cells=5, candidates_per_iteration=3, added_per_iteration=1,
+                              projection=projection)
+        _, trace = infer_mfci(cpx.graph, flows, cfg)
+        assert [r.cumulative_solver_calls for r in trace.records] == expected
+
+    @pytest.mark.parametrize("projection", ["exact", "approximate"])
+    def test_scoring_nonconvergence_noted(self, projection):
+        cpx = random_complex(SynthConfig(12, 0.7, 6, 1, seed=37))
+        flows = sample_flows(cpx, 8, 1.0, 0.2, np.random.default_rng(9))
+        cfg = InferenceConfig(total_cells=5, candidates_per_iteration=3, added_per_iteration=1,
+                              projection=projection, solver=SolverConfig(max_iterations=1))
+        _, trace = infer_mfci(cpx.graph, flows, cfg)
+        # scoring needs no solve on the empty complex, and one LSMR step
+        # solves the rank-one system of a one-cell complex
+        nc = ("solver-nonconverged",)
+        assert [r.notes for r in trace.records] == [(), (), (), nc, nc, nc]
+        _, converged = infer_mfci(cpx.graph, flows, dataclasses.replace(cfg, solver=SolverConfig()))
+        assert all(r.notes == () for r in converged.records)
 
     def test_budget_never_overshot(self):
         cpx = random_complex(SynthConfig(12, 0.7, 6, 1, seed=41))
