@@ -101,11 +101,10 @@ def infer_sph(graph, flows, cfg, rng=None, timer=None):
             if not candidates:
                 return
             scores = rank_one_scores(complex_, current, candidates, cfg.solver, tally)
-            best = scores.best(1)[0]
-            complex_, added, _ = add_cells(complex_, [candidates[best]])
+            best = scores.best(1)
+            complex_, added, _ = add_cells(complex_, [candidates[best[0]]])
             current = scores.harmonic_after(current, best)
-            notes = () if scores.converged else ("solver-nonconverged",)
-            yield complex_, added, float(np.linalg.norm(current)), notes
+            yield complex_, added, float(np.linalg.norm(current)), ()
 
     return _greedy_loop(graph, flows, cfg.total_cells, cfg.solver, timer, steps)
 

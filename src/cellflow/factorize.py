@@ -75,12 +75,19 @@ def _check_factor_input(H, r):
 def truncated_svd(H, r):
     """Best rank-r approximation: B holds the r leading left singular vectors
     (unit columns), C the corresponding singular values times right singular
-    vectors, so the residual is the tail singular-value norm."""
+    vectors, so the residual is the tail singular-value norm.
+
+    The decomposition goes through the s x s Gram matrix, which is cheap
+    when s << m: V_r holds the r leading eigenvectors of ``H.T @ H``, B is
+    the Q factor of a thin QR of ``H @ V_r`` (signs fixed so that diag(R) is
+    non-negative), and ``C = B.T @ H``.  B is orthonormal even when H has
+    rank below r, and ``B @ C`` is then H itself.
+    """
     H = _check_factor_input(H, r)
-    U, sv, Vt = np.linalg.svd(H, full_matrices=False)
-    B = U[:, :r].copy()
-    C = sv[:r, None] * Vt[:r]
-    return Factorization(B, C, "svd", int(r))
+    _, V = np.linalg.eigh(H.T @ H)
+    B, R = np.linalg.qr(H @ V[:, ::-1][:, :r])
+    B *= np.where(np.diag(R) < 0, -1.0, 1.0)
+    return Factorization(B, B.T @ H, "svd", int(r))
 
 
 def fast_ica(H, r, cfg=IcaConfig()):

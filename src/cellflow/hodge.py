@@ -304,31 +304,48 @@ class RankOneScores(NamedTuple):
 
     ``losses[i]`` is the loss after adding candidate i alone, ``directions``
     holds each candidate's boundary minus its curl projection (b_h, one
-    column each) and ``weights`` the matching least-squares coefficients
-    (c, one row each).  ``converged`` is the scoring solve's flag.
+    column each; zero for a candidate already in the curl span) and
+    ``weights`` the matching least-squares coefficients (c, one row each).
+    ``unchanged`` is the loss before any addition, ||h||.  Whether the
+    scoring solve converged is counted by the caller's ``SolverTally``.
     """
 
     losses: np.ndarray
     directions: np.ndarray
     weights: np.ndarray
-    converged: bool
+    unchanged: float
 
     def best(self, count):
         """Indices of the ``count`` lowest losses, best first.  Losses within
-        1e-9 (relative) of the lowest remaining one are ties, and ties go to
-        the earlier candidate."""
+        1e-9 ||h|| of the lowest remaining one are ties, and ties go to the
+        earlier candidate.  The band scales with the unchanged loss, not the
+        best one, so candidates that fit exactly (loss 0) still tie."""
+        band = 1e-9 * self.unchanged
         remaining = list(range(len(self.losses)))
         picked = []
         while remaining and len(picked) < count:
             floor = min(self.losses[i] for i in remaining)
-            pick = next(i for i in remaining if self.losses[i] <= floor + 1e-9 * floor)
+            pick = next(i for i in remaining if self.losses[i] <= floor + band)
             remaining.remove(pick)
             picked.append(pick)
         return picked
 
-    def harmonic_after(self, flows_h, i):
-        """The harmonic flows after adding candidate i: ``h - b_h c``."""
-        return flows_h - np.outer(self.directions[:, i], self.weights[i]).reshape(flows_h.shape)
+    def harmonic_after(self, flows_h, picks):
+        """The exact harmonic flows after adding the candidates ``picks``
+        together: h minus its projection onto the span of their b_h.
+
+        Every b_h is orthogonal to the old curl span, so no solve is needed:
+        one pick is the rank-one step ``h - b_h c``, several take one small
+        dense least-squares fit, which copes with linearly dependent picks.
+        """
+        flows_h = np.asarray(flows_h, dtype=np.float64)
+        h = flows_h.reshape(flows_h.shape[0], -1)
+        if len(picks) == 1:
+            step = np.outer(self.directions[:, picks[0]], self.weights[picks[0]])
+        else:
+            span = self.directions[:, picks]
+            step = span @ np.linalg.lstsq(span, h, rcond=None)[0]
+        return (h - step).reshape(flows_h.shape)
 
 
 def rank_one_scores(complex_, flows_h, candidates, cfg=SolverConfig(), tally=None):
@@ -340,27 +357,26 @@ def rank_one_scores(complex_, flows_h, candidates, cfg=SolverConfig(), tally=Non
     ``c = b_h^T h / ||b_h||^2``, so one multi-right-hand-side solve against
     the boundary matrix yields every b_h (counted as one call; the empty
     complex needs none).  A candidate already in the curl span
-    (``||b_h|| ~ 0``) scores the unchanged loss.
+    (``||b_h|| ~ 0``) scores the unchanged loss and gets a zero direction.
     """
     flows_h = np.asarray(flows_h, dtype=np.float64)
     h = flows_h.reshape(flows_h.shape[0], -1)
     boundaries = np.stack([cell.dense() for cell in candidates], axis=1)
     bh = boundaries
-    converged = True
     if complex_.cell_count:
         B2 = complex_.boundary_matrix(dtype=np.float64).tocsr()
         res = least_squares(B2, boundaries, cfg)
         if tally is not None:
             tally.count(res)
         bh = boundaries - B2 @ res.solution
-        converged = res.converged
     norms = _column_norms(bh)
     # ||b_h|| <= 1e-10 ||b||: b is (numerically) in the curl span already.
     spanned = norms <= 1e-10 * _column_norms(boundaries)
+    bh = np.where(spanned, 0.0, bh)
     weights = (bh.T @ h) / np.where(spanned, np.inf, norms**2)[:, None]
     losses = np.array([np.linalg.norm(h - np.outer(bh[:, i], weights[i]))
                        for i in range(bh.shape[1])])
-    return RankOneScores(losses, bh, weights, converged)
+    return RankOneScores(losses, bh, weights, float(np.linalg.norm(h)))
 
 
 def hodge_decompose(graph, complex_, flows, cfg=SolverConfig(), tally=None):

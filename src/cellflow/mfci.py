@@ -5,8 +5,11 @@ Each iteration factors the current harmonic flows at low rank, discretizes
 the best factor columns into simple cycles, optionally scores the
 candidate cells by their exact post-addition loss (all of them from one
 rank-one solve, ``hodge.rank_one_scores``), adds the winners, and updates
-the harmonic flows either exactly (one iterative solve) or by the cheap
-span-projection approximation (no iterative solve at all).
+the harmonic flows.  With evaluation on, the exact harmonic flows move by
+the winners' scoring directions, with no further solve.  Otherwise they
+are re-projected exactly (one iterative solve) or updated by the cheap
+span-projection approximation (no iterative solve at all).  In
+approximate mode the factorization always sees the approximate flows.
 
 ``_greedy_loop`` owns what MFCI, SPH and the random baseline have in
 common: flow shaping, gradient removal, solver accounting, the clock, the
@@ -258,23 +261,27 @@ def candidate_search(complex_, flows_h, cfg, rng):
 
 
 def evaluate_and_select(complex_, flows_h, candidates, count, cfg, tally=None):
-    """Pick ``count`` cells from the candidates.
+    """Pick ``count`` cells from the candidates; returns ``(chosen, after)``.
 
     ``flows_h`` are the exact harmonic flows of ``complex_`` (on an empty
     complex, the gradient-free flows).  With evaluation on, each candidate
     is scored by the exact loss of the complex with that single cell added,
     all of them from one rank-one solve (``hodge.rank_one_scores``: one
     counted solve, none on an empty complex), and the lowest losses win;
-    losses within 1e-9 relative count as ties, which go to candidate order.
-    With evaluation off the leading ``count`` candidates pass through with
-    zero solves.  Fewer candidates than ``count`` simply all pass.
+    losses within 1e-9 of ||flows_h|| count as ties, which go to candidate
+    order.  ``after`` is then the exact harmonic flows of the complex with
+    all the chosen cells added, taken from the scoring directions without
+    a further solve.  With evaluation off the leading ``count`` candidates
+    pass through with zero solves and ``after`` is None.  Fewer candidates
+    than ``count`` simply all pass.
     """
-    if not candidates:
-        return []
     if not cfg.evaluate_candidates:
-        return list(candidates[:count])
+        return list(candidates[:count]), None
+    if not candidates:
+        return [], flows_h
     scores = rank_one_scores(complex_, flows_h, candidates, cfg.solver, tally)
-    return [candidates[i] for i in scores.best(count)]
+    picks = scores.best(count)
+    return [candidates[i] for i in picks], scores.harmonic_after(flows_h, picks)
 
 
 def _flow_matrix(graph, flows):
@@ -284,6 +291,8 @@ def _flow_matrix(graph, flows):
         flows = flows[:, None]
     if flows.shape[0] != graph.edge_count:
         raise ValueError("flow matrix rows must equal the graph's edge count")
+    if not np.isfinite(flows).all():
+        raise ValueError("flows must be finite: the flow matrix holds NaN or inf")
     return flows
 
 
@@ -298,13 +307,15 @@ def _greedy_loop(graph, flows, total_cells, solver, timer, steps):
     ``total_cells`` cells, so each step must fit the remaining budget.
 
     Trace policy: ``loss`` is the exact loss after the iteration, as the step
-    yields it (SPH's ||h|| after the winner's rank-one update, MFCI-exact's
-    projection norm) or, where it yields None (MFCI-approximate, random),
-    from a reporting recompute.  That recompute is neither timed nor
-    counted; the seconds and the solver counts cover everything else,
-    gradient removal and candidate scoring included.  A step notes
-    "solver-nonconverged" when its scoring solve ran out of iterations.
-    Returns ``(complex, trace)``.
+    yields it (||h|| of the exact harmonic flows that SPH and evaluated
+    MFCI carry by their picks' scoring directions, or of MFCI-exact's
+    re-projection) or, where it yields None (MFCI-approximate without
+    evaluation, random), from a reporting recompute.  That recompute is
+    neither timed nor counted; the seconds and the solver counts cover
+    everything else, gradient removal and candidate scoring included.  A
+    record whose counted solves (gradient removal for record 0) include one
+    that ran out of iterations gets a "solver-nonconverged" note ahead of
+    the step's own notes.  Returns ``(complex, trace)``.
     """
     flows = _flow_matrix(graph, flows)
     if timer is None:
@@ -315,16 +326,21 @@ def _greedy_loop(graph, flows, total_cells, solver, timer, steps):
     excluded = 0.0
     flows0 = remove_gradient(graph, flows, solver, tally)
     complex_ = CellComplex(graph)
+    solver_note = ("solver-nonconverged",)
     records = [IterationRecord(0, (), 0, float(np.linalg.norm(flows0)), timer() - t0,
-                               tally.calls, tally.iterations)]
+                               tally.calls, tally.iterations,
+                               solver_note if tally.nonconverged else ())]
     iterations = steps(complex_, flows0, tally)
     iteration = 0
     while complex_.cell_count < total_cells:
+        nonconverged = tally.nonconverged
         step = next(iterations, None)
         if step is None:
             break
         iteration += 1
         complex_, added, exact_loss, notes = step
+        if tally.nonconverged > nonconverged:
+            notes = solver_note + tuple(notes)
         if exact_loss is None:
             mark = timer()
             exact_loss = loss(complex_, flows0, solver)
@@ -353,7 +369,10 @@ def infer_mfci(graph, flows, cfg, rng=None, timer=None):
         rng = np.random.default_rng(cfg.seed)
 
     def steps(complex_, flows0, tally):
-        current = flows0
+        # ``current`` is what the factorization sees; ``exact`` the exact
+        # harmonic flows of the complex, or None where nothing tracks them
+        # (approximate projection without evaluation).
+        current = exact = flows0
         while True:
             notes = []
             try:
@@ -362,27 +381,26 @@ def infer_mfci(graph, flows, cfg, rng=None, timer=None):
                 return
             if not candidates:
                 return
+            if not fact.converged:
+                notes.append("ica-nonconverged")
             wanted = min(cfg.added_per_iteration, cfg.total_cells - complex_.cell_count)
-            harmonic = current
-            if cfg.projection == "approximate" and cfg.evaluate_candidates:
-                harmonic = harmonic_projection(complex_, flows0, cfg.solver, tally)
-            nonconverged = tally.nonconverged
-            chosen = evaluate_and_select(complex_, harmonic, candidates, wanted, cfg, tally)
-            if tally.nonconverged > nonconverged:
-                notes.append("solver-nonconverged")
+            # candidate_search has already dropped every candidate that
+            # add_cells would drop, so ``added`` is ``chosen``.
+            chosen, exact = evaluate_and_select(complex_, exact, candidates, wanted, cfg, tally)
             complex_, added, _ = add_cells(complex_, chosen)
             if not added:
                 return
             if len(added) < wanted:
                 notes.append("shortfall")
             if cfg.projection == "exact":
-                current = harmonic_projection(complex_, flows0, cfg.solver, tally)
-                yield complex_, added, float(np.linalg.norm(current)), notes
+                if exact is None:
+                    exact = harmonic_projection(complex_, flows0, cfg.solver, tally)
+                current = exact
             else:
                 update = approx_harmonic_update(current, list(added), fact)
                 current = update.flows
                 if update.degenerate_span:
                     notes.append("degenerate-span")
-                yield complex_, added, None, notes
+            yield complex_, added, None if exact is None else float(np.linalg.norm(exact)), notes
 
     return _greedy_loop(graph, flows, cfg.total_cells, cfg.solver, timer, steps)

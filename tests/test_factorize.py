@@ -24,6 +24,24 @@ class TestTruncatedSvd:
         assert abs(fact.C[0, 0]) == pytest.approx(np.sqrt(3), abs=1e-12)
         assert np.allclose(fact.B @ fact.C, H, atol=1e-12)
 
+    def test_rank_deficient_input(self):
+        # rank 1 asked for rank 3: the two spare columns of B come from the
+        # Gram matrix's null space and must still be orthonormal
+        rng = np.random.default_rng(4)
+        H = np.outer(rng.standard_normal(12), rng.standard_normal(6))
+        fact = truncated_svd(H, 3)
+        assert np.allclose(fact.B.T @ fact.B, np.eye(3), atol=1e-12)
+        assert np.allclose(fact.B @ fact.C, H, atol=1e-12 * np.linalg.norm(H))
+
+    def test_matches_numpy_svd(self):
+        rng = np.random.default_rng(2)
+        H = rng.standard_normal((40, 8))
+        U, sv, Vt = np.linalg.svd(H, full_matrices=False)
+        fact = truncated_svd(H, 4)
+        signs = np.sign(np.sum(fact.B * U[:, :4], axis=0))
+        assert np.allclose(fact.B, U[:, :4] * signs, atol=1e-10)
+        assert np.allclose(fact.C, signs[:, None] * sv[:4, None] * Vt[:4], atol=1e-10)
+
     def test_zero_matrix_degenerate(self):
         with pytest.raises(DegenerateInput):
             truncated_svd(np.zeros((4, 3)), 1)

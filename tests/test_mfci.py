@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cellflow import factorize, mfci
-from cellflow.baselines import max_spanning_tree
+from cellflow import factorize, hodge, mfci
+from cellflow.baselines import SphConfig, infer_random, infer_sph, max_spanning_tree
 from cellflow.complexes import (
     CellComplex,
     OrientedGraph,
@@ -14,7 +14,13 @@ from cellflow.complexes import (
     tree_cycle,
     validate_cycle,
 )
-from cellflow.hodge import SolverConfig, SolverTally, harmonic_projection, remove_gradient
+from cellflow.hodge import (
+    SolverConfig,
+    SolverTally,
+    harmonic_projection,
+    rank_one_scores,
+    remove_gradient,
+)
 from cellflow.mfci import (
     GraphIsForest,
     InferenceConfig,
@@ -236,9 +242,10 @@ class TestEvaluateAndSelect:
         g = t3()
         triangle = validate_cycle(g, [0, 1, 2, 0])
         cfg = InferenceConfig(total_cells=1, candidates_per_iteration=2, added_per_iteration=1)
-        chosen = evaluate_and_select(CellComplex(g), np.array([1.0, 1.0, -1.0]),
-                                     [triangle], 1, cfg)
+        chosen, after = evaluate_and_select(CellComplex(g), np.array([1.0, 1.0, -1.0]),
+                                            [triangle], 1, cfg)
         assert chosen == [triangle]
+        assert after == pytest.approx(np.zeros(3), abs=1e-12)
 
     def test_k4_brute_force_agreement(self):
         # derived: evaluate all four K4 triangles by the dense oracle
@@ -253,7 +260,7 @@ class TestEvaluateAndSelect:
             oracle_losses.append(np.linalg.norm(F - P @ F))
         assert int(np.argmin(oracle_losses)) == 0 and min(oracle_losses) < 1e-12
         cfg = InferenceConfig(total_cells=1, candidates_per_iteration=4, added_per_iteration=1)
-        chosen = evaluate_and_select(CellComplex(g), F, triangles, 1, cfg)
+        chosen, _ = evaluate_and_select(CellComplex(g), F, triangles, 1, cfg)
         assert chosen == [triangles[0]]
 
     def test_skip_evaluation_runs_no_solves(self):
@@ -262,8 +269,8 @@ class TestEvaluateAndSelect:
         cells = [validate_cycle(g, [0, 1, 2, 0]), validate_cycle(g, [0, 1, 3, 0])]
         cfg = InferenceConfig(total_cells=2, candidates_per_iteration=2, added_per_iteration=2)
         tally = SolverTally()
-        chosen = evaluate_and_select(CellComplex(g), F, cells, 2, cfg, tally)
-        assert chosen == cells and tally.calls == 0
+        chosen, after = evaluate_and_select(CellComplex(g), F, cells, 2, cfg, tally)
+        assert chosen == cells and after is None and tally.calls == 0
 
     def test_ties_go_to_candidate_order(self):
         # the square is tri1 + tri2 and tri1 is in the complex, so adding the
@@ -276,15 +283,30 @@ class TestEvaluateAndSelect:
         F = remove_gradient(g, np.random.default_rng(0).standard_normal((6, 3)))
         H = harmonic_projection(cpx, F)
         cfg = InferenceConfig(total_cells=2, candidates_per_iteration=2, added_per_iteration=1)
-        assert evaluate_and_select(cpx, H, [tri2, square], 1, cfg) == [tri2]
-        assert evaluate_and_select(cpx, H, [square, tri2], 1, cfg) == [square]
-        assert evaluate_and_select(cpx, H, [tri1, square, tri2], 2, cfg) == [square, tri2]
+        assert evaluate_and_select(cpx, H, [tri2, square], 1, cfg)[0] == [tri2]
+        assert evaluate_and_select(cpx, H, [square, tri2], 1, cfg)[0] == [square]
+        assert evaluate_and_select(cpx, H, [tri1, square, tri2], 2, cfg)[0] == [square, tri2]
+
+    def test_exact_fit_ties_go_to_candidate_order(self):
+        # flows along tri2 with tri1 in the complex: tri2 and the square
+        # tri1 + tri2 both fit them exactly, so both scores are zero up to
+        # rounding, and the tie band must not shrink with the best loss
+        g = k4()
+        tri1, tri2 = validate_cycle(g, [0, 1, 2, 0]), validate_cycle(g, [0, 2, 3, 0])
+        square = validate_cycle(g, [0, 1, 2, 3, 0])
+        cpx = CellComplex(g, [tri1])
+        F = np.outer(tri2.dense(), np.random.default_rng(1).standard_normal(1))
+        H = harmonic_projection(cpx, F)
+        cfg = InferenceConfig(total_cells=2, candidates_per_iteration=2, added_per_iteration=1)
+        assert rank_one_scores(cpx, H, [tri2, square]).best(1) == [0]
+        assert evaluate_and_select(cpx, H, [tri2, square], 1, cfg)[0] == [tri2]
+        assert evaluate_and_select(cpx, H, [square, tri2], 1, cfg)[0] == [square]
 
     def test_shortfall_returns_all(self):
         g = t3()
         triangle = validate_cycle(g, [0, 1, 2, 0])
         cfg = InferenceConfig(total_cells=3, candidates_per_iteration=3, added_per_iteration=3)
-        chosen = evaluate_and_select(CellComplex(g), triangle.dense(), [triangle], 3, cfg)
+        chosen, _ = evaluate_and_select(CellComplex(g), triangle.dense(), [triangle], 3, cfg)
         assert chosen == [triangle]
 
 
@@ -341,13 +363,13 @@ class TestInferMfci:
         assert all(r.cumulative_solver_calls == 1 for r in trace.records)
         assert complex_.cell_count >= 1
 
+    # gradient removal, then no solve in iteration 1 (scoring against the
+    # empty complex needs none), then one scoring solve per iteration: the
+    # exact harmonic flows follow the winners' scoring directions in both
+    # projections, so neither re-projects nor recomputes for the report
     @pytest.mark.parametrize("projection, expected", [
-        # gradient removal, then (empty complex: no scoring solve) the exact
-        # re-projection, then scoring + re-projection per iteration
-        ("exact", [1, 2, 4, 6, 8, 10]),
-        # gradient removal, then (empty complex: neither the exact harmonic
-        # flows nor the scores need a solve) projection + scoring per iteration
-        ("approximate", [1, 1, 3, 5, 7, 9]),
+        ("exact", [1, 1, 2, 3, 4, 5]),
+        ("approximate", [1, 1, 2, 3, 4, 5]),
     ])
     def test_best_one_of_l_solver_accounting(self, projection, expected):
         cpx = random_complex(SynthConfig(12, 0.7, 6, 1, seed=37))
@@ -364,12 +386,52 @@ class TestInferMfci:
         cfg = InferenceConfig(total_cells=5, candidates_per_iteration=3, added_per_iteration=1,
                               projection=projection, solver=SolverConfig(max_iterations=1))
         _, trace = infer_mfci(cpx.graph, flows, cfg)
-        # scoring needs no solve on the empty complex, and one LSMR step
-        # solves the rank-one system of a one-cell complex
+        # one LSMR step does not finish gradient removal (record 0); scoring
+        # needs no solve on the empty complex, and one LSMR step solves the
+        # rank-one system of a one-cell complex
         nc = ("solver-nonconverged",)
-        assert [r.notes for r in trace.records] == [(), (), (), nc, nc, nc]
+        assert [r.notes for r in trace.records] == [nc, (), (), nc, nc, nc]
         _, converged = infer_mfci(cpx.graph, flows, dataclasses.replace(cfg, solver=SolverConfig()))
         assert all(r.notes == () for r in converged.records)
+
+    def test_reprojection_nonconvergence_noted(self):
+        cpx = random_complex(SynthConfig(12, 0.7, 6, 1, seed=37))
+        flows = sample_flows(cpx, 8, 1.0, 0.2, np.random.default_rng(9))
+        cfg = InferenceConfig(total_cells=6, candidates_per_iteration=2, added_per_iteration=2,
+                              projection="exact", solver=SolverConfig(max_iterations=3))
+        _, trace = infer_mfci(cpx.graph, flows, cfg)
+        # no scoring here: three LSMR steps finish neither gradient removal
+        # (record 0) nor the exact re-projections onto more than two cells
+        assert cfg.evaluate_candidates is False
+        nc = ("solver-nonconverged",)
+        assert [r.notes for r in trace.records] == [nc, (), nc, nc]
+
+    def test_ica_nonconvergence_noted(self):
+        cpx = random_complex(SynthConfig(12, 0.7, 6, 1, seed=37))
+        flows = sample_flows(cpx, 8, 1.0, 0.2, np.random.default_rng(9))
+        cfg = InferenceConfig(total_cells=4, candidates_per_iteration=2, added_per_iteration=2,
+                              method="ica", projection="approximate",
+                              ica=factorize.IcaConfig(max_iterations=1))
+        _, trace = infer_mfci(cpx.graph, flows, cfg)
+        assert all(r.notes[:1] == ("ica-nonconverged",) for r in trace.records[1:])
+        _, converged = infer_mfci(cpx.graph, flows, dataclasses.replace(
+            cfg, ica=factorize.IcaConfig(max_iterations=1000, tolerance=0.5)))
+        assert all("ica-nonconverged" not in r.notes for r in converged.records)
+
+    def test_evaluated_approximate_makes_no_uncounted_solve(self, monkeypatch):
+        # the acceptance criterion-6 MFCI configuration (noise 0.1, seed 0)
+        synth = SynthConfig(20, 0.9, 30, 64, 1.0, 0.1)
+        rng = np.random.default_rng([0, 0, 1])
+        cpx = random_complex(synth, rng)
+        flows = sample_flows(cpx, 64, 1.0, 0.1, rng)
+        cfg = InferenceConfig(total_cells=30, candidates_per_iteration=5, added_per_iteration=1,
+                              method="svd", projection="approximate")
+        seen = []
+        solve = hodge.least_squares
+        monkeypatch.setattr(hodge, "least_squares", lambda *a, **k: seen.append(1) or solve(*a, **k))
+        _, trace = infer_mfci(cpx.graph, flows, cfg, np.random.default_rng([0, 1]))
+        # gradient removal plus one scoring solve per iteration after the first
+        assert len(seen) == trace.final.cumulative_solver_calls == 30
 
     def test_budget_never_overshot(self):
         cpx = random_complex(SynthConfig(12, 0.7, 6, 1, seed=41))
@@ -403,6 +465,18 @@ class TestInferMfci:
         flows0 = remove_gradient(cpx.graph, flows)
         recomputed = float(np.linalg.norm(harmonic_projection(complex_, flows0)))
         assert trace.final.loss == pytest.approx(recomputed, rel=1e-6)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("infer", [
+        lambda g, F: infer_mfci(g, F, InferenceConfig(total_cells=1)),
+        lambda g, F: infer_sph(g, F, SphConfig(total_cells=1)),
+        lambda g, F: infer_random(g, F, 1, np.random.default_rng(0)),
+    ], ids=["mfci", "sph", "random"])
+    def test_non_finite_flows_rejected(self, infer, bad):
+        flows = np.ones((6, 2))
+        flows[3, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            infer(k4(), flows)
 
     def test_deterministic_given_seed(self):
         cpx = random_complex(SynthConfig(10, 0.7, 4, 1, seed=53))

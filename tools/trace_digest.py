@@ -1,0 +1,144 @@
+"""Write a digest of inference outputs, one directory per run group, so two
+checkouts can be compared with ``diff -r``.
+
+Usage::
+
+    PYTHONPATH=<checkout>/src python3 tools/trace_digest.py OUT_DIR
+
+The cellflow package is taken from PYTHONPATH when it is set, so the same
+script digests any checkout; otherwise from the ``src`` next to this
+directory.  Every run has the clock off and writes four files named after
+it:
+
+- ``<run>.cells``: the canonical key of each cell, in the order added, one
+  iteration per line (``edge+``/``edge-`` up to a global sign);
+- ``<run>.losses``: ``repr`` of each record's loss;
+- ``<run>.notes``: each record's notes;
+- ``<run>.csv``: the trace as ``harness.write_trace`` writes it.
+
+Groups:
+
+- ``dense``: the five benchmark configs (fast, exact, best1of8, sph,
+  random) on n=40, p=0.9, k=50, s=64, noise 0.3, seeds 0-4;
+- ``small``: the same configs on n=20, p=0.5, k=16, s=16, seeds 0-7;
+  data from ``default_rng([seed, 0])``, the algorithm from
+  ``default_rng([seed, 1])``;
+- ``criterion3``: the 50 runs of the acceptance criterion-3 sweep;
+- ``criterion6``: the criterion-6 MFCI, SPH and random runs (noise 0.1 and
+  2.0, seeds 0-6).
+
+A full digest takes about half a minute on two cores.
+"""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "src"))
+
+import numpy as np  # noqa: E402
+
+from cellflow.baselines import SphConfig, infer_random, infer_sph  # noqa: E402
+from cellflow.harness import write_trace  # noqa: E402
+from cellflow.mfci import InferenceConfig, infer_mfci  # noqa: E402
+from cellflow.synth import SynthConfig, random_complex, sample_flows  # noqa: E402
+
+CONFIGS = ("fast", "exact", "best1of8", "sph", "random")
+
+
+def _no_clock():
+    return 0.0
+
+
+def _cell_key(cell):
+    edges, signs = cell.canonical()[1:]
+    return " ".join(f"{e}{'+' if s > 0 else '-'}" for e, s in zip(edges, signs))
+
+
+def write_run(directory, name, trace):
+    directory.mkdir(parents=True, exist_ok=True)
+    records = trace.records
+    (directory / f"{name}.cells").write_text(
+        "".join(" | ".join(_cell_key(c) for c in r.cells_added) + "\n" for r in records))
+    (directory / f"{name}.losses").write_text("".join(f"{r.loss!r}\n" for r in records))
+    (directory / f"{name}.notes").write_text("".join(f"{' '.join(r.notes)}\n" for r in records))
+    write_trace(records, directory / f"{name}.csv")
+
+
+def run_config(name, graph, flows, cells, rng):
+    if name == "fast":
+        cfg = InferenceConfig(cells, 8, 8, method="ica", projection="approximate")
+    elif name == "exact":
+        cfg = InferenceConfig(cells, 8, 8, method="ica", projection="exact")
+    elif name == "best1of8":
+        cfg = InferenceConfig(cells, 8, 1, method="svd", projection="exact")
+    elif name == "sph":
+        return infer_sph(graph, flows, SphConfig(cells, 11), rng, _no_clock)[1]
+    else:
+        return infer_random(graph, flows, cells, rng, _no_clock)[1]
+    return infer_mfci(graph, flows, cfg, rng, _no_clock)[1]
+
+
+def tier(out, group, synth, seeds):
+    for seed in seeds:
+        rng = np.random.default_rng([seed, 0])
+        cpx = random_complex(synth, rng)
+        flows = sample_flows(cpx, synth.flow_count, synth.cell_std, synth.noise_std, rng)
+        for name in CONFIGS:
+            trace = run_config(name, cpx.graph, flows, synth.planted_cells,
+                               np.random.default_rng([seed, 1]))
+            write_run(out / group, f"{name}_seed{seed}", trace)
+
+
+def criterion3(out):
+    """The acceptance criterion-3 sweep, drawn in the same order."""
+    rng = np.random.default_rng(777)
+    for i in range(50):
+        n = int(rng.integers(10, 21))
+        planted = int(rng.integers(3, 9))
+        noise = float(rng.uniform(0.1, 0.6))
+        cpx = random_complex(SynthConfig(n, 0.5 if i % 2 else 0.8, planted, 1, seed=3000 + i))
+        flows = sample_flows(cpx, int(rng.integers(4, 11)), 1.0, noise, rng)
+        if i % 3 == 2:
+            _, trace = infer_sph(cpx.graph, flows, SphConfig(planted, 4), timer=_no_clock)
+        else:
+            cfg = InferenceConfig(planted, 3, 1, method="svd", projection="exact")
+            _, trace = infer_mfci(cpx.graph, flows, cfg, np.random.default_rng([i, 5]), _no_clock)
+        write_run(out / "criterion3", f"run{i:02d}", trace)
+
+
+def criterion6(out):
+    """The acceptance criterion-6 runs: best-1-of-5 approximate MFCI, SPH
+    and three random draws per seed and noise level."""
+    for noise in (0.1, 2.0):
+        for seed in range(7):
+            synth = SynthConfig(20, 0.9, 30, 64, 1.0, noise)
+            rng = np.random.default_rng([seed, 0, int(noise * 10)])
+            cpx = random_complex(synth, rng)
+            flows = sample_flows(cpx, 64, 1.0, noise, rng)
+            graph = cpx.graph
+            tag = f"noise{noise}_seed{seed}"
+            cfg = InferenceConfig(30, 5, 1, method="svd", projection="approximate")
+            _, trace = infer_mfci(graph, flows, cfg, np.random.default_rng([seed, 1]), _no_clock)
+            write_run(out / "criterion6", f"mfci_{tag}", trace)
+            _, trace = infer_sph(graph, flows, SphConfig(30, 11), timer=_no_clock)
+            write_run(out / "criterion6", f"sph_{tag}", trace)
+            for rep in range(3):
+                _, trace = infer_random(graph, flows, 30, np.random.default_rng([seed, 2, rep]),
+                                        _no_clock)
+                write_run(out / "criterion6", f"random{rep}_{tag}", trace)
+
+
+def main(argv):
+    if len(argv) != 1:
+        sys.exit("usage: trace_digest.py OUT_DIR")
+    out = Path(argv[0])
+    tier(out, "dense", SynthConfig(40, 0.9, 50, 64, 1.0, 0.3), range(5))
+    tier(out, "small", SynthConfig(20, 0.5, 16, 16, 1.0, 0.3), range(8))
+    criterion3(out)
+    criterion6(out)
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])
