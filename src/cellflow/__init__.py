@@ -28,7 +28,6 @@ from .complexes import (
 from .hodge import (
     ApproxUpdateResult,
     LeastSquaresResult,
-    SolverConfig,
     SolverTally,
     approx_harmonic_update,
     harmonic_projection,

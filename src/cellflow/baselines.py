@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes import add_cells, boundary_from_edge_set, kruskal, random_tree_cell, tree_cycle
-from .hodge import SolverConfig, rank_one_scores
+from .hodge import rank_one_scores
 from .mfci import _greedy_loop
 
 
@@ -30,7 +30,6 @@ from .mfci import _greedy_loop
 class SphConfig:
     total_cells: int
     candidates_per_iteration: int = 11
-    solver: SolverConfig = SolverConfig()
 
     def __post_init__(self):
         if self.total_cells < 1:
@@ -100,13 +99,13 @@ def infer_sph(graph, flows, cfg, rng=None, timer=None):
                           if c.canonical() not in complex_.keys]
             if not candidates:
                 return
-            scores = rank_one_scores(complex_, current, candidates, cfg.solver, tally)
+            scores = rank_one_scores(complex_, current, candidates, tally)
             best = scores.best(1)
             complex_, added, _ = add_cells(complex_, [candidates[best[0]]])
             current = scores.harmonic_after(current, best)
             yield complex_, added, float(np.linalg.norm(current)), ()
 
-    return _greedy_loop(graph, flows, cfg.total_cells, cfg.solver, timer, steps)
+    return _greedy_loop(graph, flows, cfg.total_cells, timer, steps)
 
 
 def infer_random(graph, flows, total_cells, rng, timer=None):
@@ -128,4 +127,4 @@ def infer_random(graph, flows, total_cells, rng, timer=None):
             complex_, added, _ = add_cells(complex_, [cell])
             yield complex_, added, None, ()
 
-    return _greedy_loop(graph, flows, total_cells, SolverConfig(), timer, steps)
+    return _greedy_loop(graph, flows, total_cells, timer, steps)

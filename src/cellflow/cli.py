@@ -13,7 +13,7 @@ import argparse
 import sys
 
 from . import harness
-from .fileio import ParseError, InvariantViolation, parse_config
+from .fileio import ParseError, InvariantViolation
 
 
 def _build_parser():
@@ -59,7 +59,7 @@ def main(argv=None):
             print(format(value, ".9g"))
         elif args.command == "bench":
             cfg = harness.experiment_from_config(args.config, args.out, args.seed)
-            raw = parse_config(args.config)
+            raw = harness.read_config(args.config)
             algos = tuple(raw.get("bench.algos", "mfci sph random").split())
             path = harness.run_bench(cfg, algos)
             print(f"bench table written to {path}")

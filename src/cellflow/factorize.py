@@ -48,7 +48,6 @@ class IcaConfig:
 
     max_iterations: int = 200
     tolerance: float = 1e-4
-    contrast: str = "logcosh"
     seed: int = 0
 
     def __post_init__(self):
@@ -56,8 +55,6 @@ class IcaConfig:
             raise ValueError("max_iterations must be >= 1")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be > 0")
-        if self.contrast != "logcosh":
-            raise ValueError(f"unsupported contrast {self.contrast!r}")
 
 
 def _check_factor_input(H, r):

@@ -23,7 +23,7 @@ from . import fileio
 from .baselines import SphConfig, infer_random, infer_sph
 from .complexes import CellComplex, InvalidCell
 from .fileio import InvariantViolation, ParseError
-from .hodge import SolverConfig, loss, make_timer, remove_gradient
+from .hodge import loss, make_timer, remove_gradient
 from .mfci import InferenceConfig, infer_mfci
 from .synth import SynthConfig, random_complex, sample_flows, save_dataset
 
@@ -225,6 +225,26 @@ def run_bench(cfg, algos, echo=print):
 # ---------------------------------------------------------------------------
 # Config-file binding
 
+CONFIG_KEYS = frozenset({
+    "algo", "run.seeds", "run.out", "run.timing", "bench.algos",
+    "synth.nodes", "synth.edge_probability", "synth.cells", "synth.flows",
+    "synth.cell_std", "synth.noise_std", "synth.seed",
+    "data.edges", "data.flows", "data.cells",
+    "mfci.total_cells", "mfci.candidates", "mfci.added", "mfci.rank", "mfci.method",
+    "mfci.discretization", "mfci.evaluate", "mfci.projection",
+    "sph.total_cells", "sph.candidates", "random.total_cells",
+})
+
+
+def read_config(path):
+    """Parse a flat config file, rejecting any key outside ``CONFIG_KEYS``
+    (so a typo fails instead of silently leaving a default in place)."""
+    raw = fileio.parse_config(path)
+    unknown = sorted(set(raw) - CONFIG_KEYS)
+    if unknown:
+        raise ValueError(f"{path}: unknown config key {', '.join(map(repr, unknown))}")
+    return raw
+
 
 def _need(raw, key, cast, default=None):
     if key not in raw:
@@ -262,13 +282,6 @@ def _as_seeds(text):
     return seeds
 
 
-def solver_from_raw(raw):
-    return SolverConfig(
-        residual_tolerance=_opt(raw, "solver.tolerance", float, 1e-8),
-        max_iterations=_opt(raw, "solver.max_iterations", int, None),
-    )
-
-
 def synth_from_raw(raw):
     if "synth.nodes" not in raw:
         return None
@@ -294,7 +307,7 @@ def data_from_raw(raw):
     )
 
 
-def mfci_from_raw(raw, solver):
+def mfci_from_raw(raw):
     if "mfci.total_cells" not in raw:
         return None
     return InferenceConfig(
@@ -306,25 +319,22 @@ def mfci_from_raw(raw, solver):
         discretization=_opt(raw, "mfci.discretization", str, "deterministic"),
         evaluate_candidates=_opt(raw, "mfci.evaluate", _as_bool, None),
         projection=_opt(raw, "mfci.projection", str, "exact"),
-        solver=solver,
     )
 
 
-def sph_from_raw(raw, solver):
+def sph_from_raw(raw):
     if "sph.total_cells" not in raw:
         return None
     return SphConfig(
         total_cells=_need(raw, "sph.total_cells", int),
         candidates_per_iteration=_opt(raw, "sph.candidates", int, 11),
-        solver=solver,
     )
 
 
 def experiment_from_config(path, out_dir=None, seed=None, algo=None):
     """Build an ExperimentConfig from a flat config file; the CLI flags
     --out/--seed/--algo override the corresponding keys."""
-    raw = fileio.parse_config(path)
-    solver = solver_from_raw(raw)
+    raw = read_config(path)
     chosen_algo = algo or raw.get("algo")
     if chosen_algo is None:
         raise ValueError("missing config key 'algo' (or --algo flag)")
@@ -336,8 +346,8 @@ def experiment_from_config(path, out_dir=None, seed=None, algo=None):
         out_dir=out,
         synth=synth_from_raw(raw),
         data=data_from_raw(raw),
-        mfci=mfci_from_raw(raw, solver),
-        sph=sph_from_raw(raw, solver),
+        mfci=mfci_from_raw(raw),
+        sph=sph_from_raw(raw),
         random_cells=_opt(raw, "random.total_cells", int, None),
         timing=_opt(raw, "run.timing", _as_bool, True),
     )
@@ -345,7 +355,7 @@ def experiment_from_config(path, out_dir=None, seed=None, algo=None):
 
 def synth_dataset_from_config(path, out_dir, seed=None):
     """The ``synth`` subcommand: generate one dataset and write it out."""
-    raw = fileio.parse_config(path)
+    raw = read_config(path)
     synth = synth_from_raw(raw)
     if synth is None:
         raise ValueError("config has no synth.* section")
@@ -359,11 +369,9 @@ def synth_dataset_from_config(path, out_dir, seed=None):
 
 def evaluate_cells_from_config(path):
     """The ``eval`` subcommand: exact loss of a cell file against flows."""
-    raw = fileio.parse_config(path)
+    raw = read_config(path)
     data = data_from_raw(raw)
     if data is None or data.cells is None:
         raise ValueError("eval requires data.edges, data.flows and data.cells")
     graph, flows, truth = load_dataset(data)
-    solver = solver_from_raw(raw)
-    flows0 = remove_gradient(graph, flows, solver)
-    return loss(truth, flows0, solver)
+    return loss(truth, remove_gradient(graph, flows))

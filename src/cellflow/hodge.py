@@ -12,6 +12,13 @@ independent: each carries its own recurrence state, converges on its own
 criterion, and is frozen once converged.  A call solves its whole batch as
 one deterministic unit, so repeated runs on identical inputs are bitwise
 identical.
+
+``least_squares`` alone holds the solver contract: relative tolerance
+1e-8 and an iteration cap of 10 * (rows + cols), as keyword defaults.  The
+projections below take no solver settings; they pass an optional
+``SolverTally`` through, and ``least_squares`` counts itself into it, which
+is how the inference loops account for solver work and notice a solve that
+ran out of iterations.
 """
 
 from __future__ import annotations
@@ -22,30 +29,6 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Contract for iterative least-squares solves.
-
-    residual_tolerance is relative: a column y is converged once
-    ``||A^T (A x - y)|| <= residual_tolerance * ||A^T y||``.
-    max_iterations of None means 10 * (rows + cols), resolved per solve.
-    """
-
-    residual_tolerance: float = 1e-8
-    max_iterations: int | None = None
-
-    def __post_init__(self):
-        if self.residual_tolerance <= 0:
-            raise ValueError("residual_tolerance must be > 0")
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-
-    def iteration_cap(self, shape):
-        if self.max_iterations is not None:
-            return self.max_iterations
-        return 10 * (shape[0] + shape[1])
 
 
 @dataclass
@@ -194,19 +177,24 @@ def _lsmr_columns(A, At, Y, tol, maxiter, floor):
     return Xout, iters, conv
 
 
-def least_squares(A, Y, cfg=SolverConfig()):
+def least_squares(A, Y, tally=None, tolerance=1e-8, max_iterations=None):
     """Minimum-norm least-squares solve of ``A x = y`` for every column of Y.
 
     Normal-equations-free (LSMR); for each column the returned x satisfies
-    ``||A^T A x - A^T y|| <= tol * ||A^T y||`` unless the iteration budget
-    ran out, in which case the best iterate is returned with
+    ``||A^T A x - A^T y|| <= tolerance * ||A^T y||`` unless the iteration
+    budget ran out, in which case the best iterate is returned with
     ``converged=False``.
 
     Parameters
     ----------
-    A : sparse or dense (p, q) matrix
+    A : sparse or dense (p, q) matrix, used as float64 CSR
     Y : (p,) or (p, s) array
-    cfg : SolverConfig
+    tally : SolverTally, optional
+        Counts this call, its iterations and its convergence.
+    tolerance : float
+        Relative residual tolerance, > 0.
+    max_iterations : int, optional
+        Iteration cap per column; None means 10 * (p + q).
 
     Returns
     -------
@@ -214,24 +202,20 @@ def least_squares(A, Y, cfg=SolverConfig()):
         solution with the same trailing shape as Y, total iteration count
         consumed across columns, and the convergence flag.
     """
+    if tolerance <= 0:
+        raise ValueError("tolerance must be > 0")
+    if max_iterations is not None and max_iterations < 1:
+        raise ValueError("max_iterations must be >= 1")
+    A = sparse.csr_matrix(A, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
     single = Y.ndim == 1
     if single:
         Y = Y[:, None]
     if A.shape[0] != Y.shape[0]:
         raise ValueError(f"A has {A.shape[0]} rows but Y has {Y.shape[0]}")
-    if sparse.issparse(A):
-        A = A.astype(np.float64).tocsr()
-        At = A.T.tocsr()
-    else:
-        A = np.asarray(A, dtype=np.float64)
-        At = A.T
-    tol = cfg.residual_tolerance
-    maxiter = cfg.iteration_cap(A.shape)
-    if sparse.issparse(A):
-        norm_a = float(np.sqrt((A.data**2).sum()))
-    else:
-        norm_a = float(np.linalg.norm(A))
+    At = A.T.tocsr()
+    maxiter = max_iterations if max_iterations is not None else 10 * sum(A.shape)
+    norm_a = float(np.sqrt((A.data**2).sum()))
     # ||A^T r|| below ~eps * ||A|| * ||y|| is float64 rounding dust; treat
     # it as converged rather than chasing an unreachable relative target.
     floor = 1e-13 * norm_a * _column_norms(Y)
@@ -241,8 +225,8 @@ def least_squares(A, Y, cfg=SolverConfig()):
     # residual system (the correction stays in range(A^T), preserving the
     # minimum-norm property).
     ref = _column_norms(np.asarray(At @ Y))
-    target = np.maximum(tol * ref, floor)
-    X, iters, _ = _lsmr_columns(A, At, Y, tol, maxiter, floor)
+    target = np.maximum(tolerance * ref, floor)
+    X, iters, _ = _lsmr_columns(A, At, Y, tolerance, maxiter, floor)
     for _ in range(2):
         grad = np.asarray(At @ (A @ X - Y))
         bad = np.flatnonzero(_column_norms(grad) > target)
@@ -251,17 +235,20 @@ def least_squares(A, Y, cfg=SolverConfig()):
             break
         R = Y[:, bad] - A @ X[:, bad]
         budget = int(maxiter - iters[bad].min())
-        D, extra, _ = _lsmr_columns(A, At, R, 0.5 * tol, budget, floor[bad])
+        D, extra, _ = _lsmr_columns(A, At, R, 0.5 * tolerance, budget, floor[bad])
         X[:, bad] += D
         iters[bad] += extra
     grad = np.asarray(At @ (A @ X - Y))
     ok = _column_norms(grad) <= target
 
     solution = X[:, 0] if single else X
-    return LeastSquaresResult(solution, int(iters.sum()), bool(ok.all()))
+    result = LeastSquaresResult(solution, int(iters.sum()), bool(ok.all()))
+    if tally is not None:
+        tally.count(result)
+    return result
 
 
-def remove_gradient(graph, flows, cfg=SolverConfig(), tally=None):
+def remove_gradient(graph, flows, tally=None):
     """Strip the gradient component: returns flows minus the projection onto
     the image of the transposed incidence matrix.  Counted as one solver
     call."""
@@ -269,13 +256,10 @@ def remove_gradient(graph, flows, cfg=SolverConfig(), tally=None):
     if flows.shape[0] != graph.edge_count:
         raise ValueError("flow matrix rows must equal the graph's edge count")
     A = graph.incidence().T.astype(np.float64).tocsr()
-    res = least_squares(A, flows, cfg)
-    if tally is not None:
-        tally.count(res)
-    return flows - A @ res.solution
+    return flows - A @ least_squares(A, flows, tally).solution
 
 
-def harmonic_projection(complex_, flows, cfg=SolverConfig(), tally=None):
+def harmonic_projection(complex_, flows, tally=None):
     """Harmonic component of gradient-free flows: the residual after removing
     the curl component (projection onto the boundary matrix's image).
 
@@ -288,15 +272,12 @@ def harmonic_projection(complex_, flows, cfg=SolverConfig(), tally=None):
     if complex_.cell_count == 0:
         return flows.copy()
     B2 = complex_.boundary_matrix(dtype=np.float64).tocsr()
-    res = least_squares(B2, flows, cfg)
-    if tally is not None:
-        tally.count(res)
-    return flows - B2 @ res.solution
+    return flows - B2 @ least_squares(B2, flows, tally).solution
 
 
-def loss(complex_, flows, cfg=SolverConfig(), tally=None):
+def loss(complex_, flows, tally=None):
     """Frobenius norm of the harmonic component of gradient-free flows."""
-    return float(np.linalg.norm(harmonic_projection(complex_, flows, cfg, tally)))
+    return float(np.linalg.norm(harmonic_projection(complex_, flows, tally)))
 
 
 class RankOneScores(NamedTuple):
@@ -348,7 +329,7 @@ class RankOneScores(NamedTuple):
         return (h - step).reshape(flows_h.shape)
 
 
-def rank_one_scores(complex_, flows_h, candidates, cfg=SolverConfig(), tally=None):
+def rank_one_scores(complex_, flows_h, candidates, tally=None):
     """Score every candidate cell by the exact loss of the complex with that
     cell added, from one least-squares solve.
 
@@ -365,10 +346,7 @@ def rank_one_scores(complex_, flows_h, candidates, cfg=SolverConfig(), tally=Non
     bh = boundaries
     if complex_.cell_count:
         B2 = complex_.boundary_matrix(dtype=np.float64).tocsr()
-        res = least_squares(B2, boundaries, cfg)
-        if tally is not None:
-            tally.count(res)
-        bh = boundaries - B2 @ res.solution
+        bh = boundaries - B2 @ least_squares(B2, boundaries, tally).solution
     norms = _column_norms(bh)
     # ||b_h|| <= 1e-10 ||b||: b is (numerically) in the curl span already.
     spanned = norms <= 1e-10 * _column_norms(boundaries)
@@ -379,7 +357,7 @@ def rank_one_scores(complex_, flows_h, candidates, cfg=SolverConfig(), tally=Non
     return RankOneScores(losses, bh, weights, float(np.linalg.norm(h)))
 
 
-def hodge_decompose(graph, complex_, flows, cfg=SolverConfig(), tally=None):
+def hodge_decompose(graph, complex_, flows, tally=None):
     """Split raw flows into (gradient, curl, harmonic) components.
 
     Convenience wrapper: gradient removal on the raw flows, then the curl
@@ -387,9 +365,9 @@ def hodge_decompose(graph, complex_, flows, cfg=SolverConfig(), tally=None):
     by construction; their pairwise orthogonality is what the solves buy.
     """
     flows = np.asarray(flows, dtype=np.float64)
-    gradient_free = remove_gradient(graph, flows, cfg, tally)
+    gradient_free = remove_gradient(graph, flows, tally)
     grad = flows - gradient_free
-    harm = harmonic_projection(complex_, gradient_free, cfg, tally)
+    harm = harmonic_projection(complex_, gradient_free, tally)
     curl = gradient_free - harm
     return grad, curl, harm
 

@@ -41,7 +41,6 @@ from .factorize import (
     truncated_svd,
 )
 from .hodge import (
-    SolverConfig,
     SolverTally,
     approx_harmonic_update,
     harmonic_projection,
@@ -52,7 +51,7 @@ from .hodge import (
 )
 
 
-class GraphIsForest(Exception):
+class GraphIsForest(ValueError):
     """The graph contains no cycle, so no 2-cell can exist."""
 
 
@@ -85,7 +84,6 @@ class InferenceConfig:
     discretization: str = "deterministic"
     evaluate_candidates: bool | None = None
     projection: str = "exact"
-    solver: SolverConfig = SolverConfig()
     ica: IcaConfig = IcaConfig()
     seed: int = 0
 
@@ -226,15 +224,18 @@ def candidate_search(complex_, flows_h, cfg, rng):
     """One candidate-search pass: factor the harmonic flows at rank r, keep
     the l best-scoring columns, and discretize each into a cell.
 
-    Discretization failures and duplicates (within the batch or of cells
-    already in the complex, up to sign) are dropped, so fewer than l
-    candidates may come back.  Returns ``(candidates, factorization)``; the
+    Random walks that fail (``WalkFailed``) and duplicates (within the batch
+    or of cells already in the complex, up to sign) are dropped, so fewer
+    than l candidates may come back.  Returns ``(candidates, factorization)``; the
     factorization feeds the approximate harmonic update.
 
     Raises
     ------
     DegenerateInput
         Propagated from the factorization when the flows are spent.
+    GraphIsForest
+        If the graph has no cycle (the inference loop rejects forests up
+        front).
     """
     l = cfg.candidates_per_iteration
     if cfg.method == "ica":
@@ -254,7 +255,7 @@ def candidate_search(complex_, flows_h, cfg, rng):
                 cells.append(discretize_random_walk(graph, b, rng))
             else:
                 cells.append(discretize_deterministic(graph, b))
-        except (GraphIsForest, WalkFailed):
+        except WalkFailed:
             continue
     _, candidates, _ = add_cells(complex_, cells)
     return list(candidates), fact
@@ -279,7 +280,7 @@ def evaluate_and_select(complex_, flows_h, candidates, count, cfg, tally=None):
         return list(candidates[:count]), None
     if not candidates:
         return [], flows_h
-    scores = rank_one_scores(complex_, flows_h, candidates, cfg.solver, tally)
+    scores = rank_one_scores(complex_, flows_h, candidates, tally)
     picks = scores.best(count)
     return [candidates[i] for i in picks], scores.harmonic_after(flows_h, picks)
 
@@ -296,9 +297,10 @@ def _flow_matrix(graph, flows):
     return flows
 
 
-def _greedy_loop(graph, flows, total_cells, solver, timer, steps):
+def _greedy_loop(graph, flows, total_cells, timer, steps):
     """The greedy loop of MFCI, SPH and the random baseline.
 
+    A graph without a cycle raises ``GraphIsForest`` before any solve.
     The gradient is removed once (one counted solve) and the start is
     recorded as iteration 0.  ``steps(complex_, flows0, tally)`` is a
     generator that grows the complex through ``add_cells``, yields
@@ -318,13 +320,15 @@ def _greedy_loop(graph, flows, total_cells, solver, timer, steps):
     the step's own notes.  Returns ``(complex, trace)``.
     """
     flows = _flow_matrix(graph, flows)
+    if next(kruskal(graph, range(graph.edge_count), set()), None) is None:
+        raise GraphIsForest("graph has no cycle, so no cell can be inferred")
     if timer is None:
         timer = make_timer()
 
     tally = SolverTally()
     t0 = timer()
     excluded = 0.0
-    flows0 = remove_gradient(graph, flows, solver, tally)
+    flows0 = remove_gradient(graph, flows, tally)
     complex_ = CellComplex(graph)
     solver_note = ("solver-nonconverged",)
     records = [IterationRecord(0, (), 0, float(np.linalg.norm(flows0)), timer() - t0,
@@ -343,7 +347,7 @@ def _greedy_loop(graph, flows, total_cells, solver, timer, steps):
             notes = solver_note + tuple(notes)
         if exact_loss is None:
             mark = timer()
-            exact_loss = loss(complex_, flows0, solver)
+            exact_loss = loss(complex_, flows0)
             excluded += timer() - mark
         records.append(IterationRecord(iteration, added, complex_.cell_count, exact_loss,
                                        timer() - t0 - excluded, tally.calls,
@@ -360,11 +364,15 @@ def infer_mfci(graph, flows, cfg, rng=None, timer=None):
     truncated so the cell budget is met exactly.
 
     Returns ``(complex, trace)``; the trace holds one record for the initial
-    state (iteration 0) and one per loop iteration.
+    state (iteration 0) and one per loop iteration.  A rank above min(m, s)
+    or ``method="ica"`` on a single flow sample raises ``ValueError``, and a
+    forest ``GraphIsForest``, all before any solve.
     """
     flows = _flow_matrix(graph, flows)
     if cfg.rank > min(flows.shape):
         raise ValueError(f"factorization rank {cfg.rank} exceeds min(m, s) = {min(flows.shape)}")
+    if cfg.method == "ica" and flows.shape[1] < 2:
+        raise ValueError("method 'ica' needs at least 2 flow samples")
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
 
@@ -394,7 +402,7 @@ def infer_mfci(graph, flows, cfg, rng=None, timer=None):
                 notes.append("shortfall")
             if cfg.projection == "exact":
                 if exact is None:
-                    exact = harmonic_projection(complex_, flows0, cfg.solver, tally)
+                    exact = harmonic_projection(complex_, flows0, tally)
                 current = exact
             else:
                 update = approx_harmonic_update(current, list(added), fact)
@@ -403,4 +411,4 @@ def infer_mfci(graph, flows, cfg, rng=None, timer=None):
                     notes.append("degenerate-span")
             yield complex_, added, None if exact is None else float(np.linalg.norm(exact)), notes
 
-    return _greedy_loop(graph, flows, cfg.total_cells, cfg.solver, timer, steps)
+    return _greedy_loop(graph, flows, cfg.total_cells, timer, steps)

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .complexes import CellComplex, OrientedGraph, UnionFind, add_cells, random_tree_cell
-from .hodge import SolverConfig, loss, remove_gradient
+from .hodge import loss, remove_gradient
 from . import fileio
 
 
@@ -127,12 +127,10 @@ def sample_flows(complex_, flow_count, cell_std, noise_std, rng):
     return B2 @ cell_signals + noise
 
 
-def reference_loss(complex_, flows, solver_cfg=None):
+def reference_loss(complex_, flows):
     """Exact loss of the planted (ground-truth) complex on its own flows:
     the benchmark's noise-floor reference."""
-    cfg = solver_cfg if solver_cfg is not None else SolverConfig()
-    flows0 = remove_gradient(complex_.graph, flows, cfg)
-    return loss(complex_, flows0, cfg)
+    return loss(complex_, remove_gradient(complex_.graph, flows))
 
 
 def save_dataset(directory, complex_, flows, cfg=None):

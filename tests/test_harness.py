@@ -295,3 +295,22 @@ class TestCli:
         assert code == 1
         err = capsys.readouterr().err
         assert "flows.csv" in err
+
+    @pytest.mark.parametrize("line", ["solver.tolerance = 1e-6", "solver.max_iterations = 5",
+                                      "mfci.candiates = 8"])
+    @pytest.mark.parametrize("command", ["infer", "eval", "bench"])
+    def test_unknown_config_key_rejected(self, tmp_path, capsys, line, command):
+        synth_cfg, run_cfg = self.write_configs(tmp_path)
+        cli.main(["synth", "--config", str(synth_cfg), "--out", str(tmp_path / "data")])
+        run_cfg.write_text(run_cfg.read_text() + line + "\n")
+        assert cli.main([command, "--config", str(run_cfg)]) == 1
+        err = capsys.readouterr().err
+        assert repr(line.split(" = ")[0]) in err and str(run_cfg) in err
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_synth_key_rejected(self, tmp_path, capsys):
+        synth_cfg, _ = self.write_configs(tmp_path)
+        synth_cfg.write_text(synth_cfg.read_text() + "synth.node = 9\n")
+        assert cli.main(["synth", "--config", str(synth_cfg), "--out", str(tmp_path / "data")]) == 1
+        assert "'synth.node'" in capsys.readouterr().err
+        assert not (tmp_path / "data").exists()

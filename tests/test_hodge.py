@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -8,12 +10,12 @@ from cellflow.complexes import (
     CellComplex,
     OrientedGraph,
     add_cells,
+    kruskal,
     random_tree_cell,
     validate_cycle,
 )
 from cellflow.factorize import Factorization
 from cellflow.hodge import (
-    SolverConfig,
     SolverTally,
     approx_harmonic_update,
     harmonic_projection,
@@ -67,7 +69,7 @@ class TestLeastSquares:
                 sv[rng.integers(1, min(p, q)):] = 0.0
                 A = (U * sv) @ Vt
             Y = rng.standard_normal((p, 3))
-            res = least_squares(sparse.csr_matrix(A), Y, SolverConfig(1e-10))
+            res = least_squares(sparse.csr_matrix(A), Y, tolerance=1e-10)
             expected = np.linalg.pinv(A) @ Y
             assert np.allclose(res.solution, expected, atol=1e-7)
 
@@ -75,8 +77,7 @@ class TestLeastSquares:
         rng = np.random.default_rng(2)
         A = sparse.random(40, 15, density=0.4, random_state=3, format="csr")
         Y = rng.standard_normal((40, 5))
-        cfg = SolverConfig(residual_tolerance=1e-9)
-        res = least_squares(A, Y, cfg)
+        res = least_squares(A, Y, tolerance=1e-9)
         grad = A.T @ (A @ res.solution - Y)
         ref = np.linalg.norm((A.T @ Y), axis=0)
         assert (np.linalg.norm(grad, axis=0) <= 1e-9 * ref).all()
@@ -86,9 +87,30 @@ class TestLeastSquares:
         rng = np.random.default_rng(4)
         A = sparse.csr_matrix(rng.standard_normal((50, 30)))
         Y = rng.standard_normal(50)
-        res = least_squares(A, Y, SolverConfig(1e-12, max_iterations=2))
+        res = least_squares(A, Y, tolerance=1e-12, max_iterations=2)
         assert not res.converged
         assert res.iterations <= 2 * 3  # initial pass plus refinement budget
+
+    def test_dense_matrix_matches_sparse(self):
+        rng = np.random.default_rng(8)
+        A = sparse.random(20, 8, density=0.4, random_state=8, format="csr")
+        Y = rng.standard_normal((20, 3))
+        dense = least_squares(A.toarray(), Y)
+        assert np.array_equal(dense.solution, least_squares(A, Y).solution)
+
+    def test_counts_itself_into_tally(self):
+        rng = np.random.default_rng(4)
+        A = sparse.csr_matrix(rng.standard_normal((50, 30)))
+        tally = SolverTally()
+        done = least_squares(A, rng.standard_normal(50), tally)
+        cut = least_squares(A, rng.standard_normal(50), tally, max_iterations=2)
+        assert (tally.calls, tally.nonconverged) == (2, 1)
+        assert tally.iterations == done.iterations + cut.iterations
+
+    @pytest.mark.parametrize("settings_", [{"tolerance": 0.0}, {"max_iterations": 0}])
+    def test_rejects_bad_settings(self, settings_):
+        with pytest.raises(ValueError):
+            least_squares(sparse.identity(3, format="csr"), np.ones(3), **settings_)
 
     def test_zero_rhs_is_free(self):
         A = sparse.csr_matrix(np.array([[1.0], [1.0], [-1.0]]))
@@ -207,8 +229,12 @@ class TestDecomposition:
         cpx = random_complex(SynthConfig(10, 0.7, 3, 1, seed=5))
         rng = np.random.default_rng(5)
         F = rng.standard_normal((cpx.graph.edge_count, 2))
-        values = [loss(cpx, remove_gradient(cpx.graph, F, SolverConfig(tol)), SolverConfig(tol))
-                  for tol in (1e-10, 1e-8, 1e-6)]
+        D = cpx.graph.incidence().T.astype(np.float64)
+        B2 = cpx.boundary_matrix(dtype=np.float64)
+        values = []
+        for tol in (1e-10, 1e-8, 1e-6):
+            F0 = F - D @ least_squares(D, F, tolerance=tol).solution
+            values.append(np.linalg.norm(F0 - B2 @ least_squares(B2, F0, tolerance=tol).solution))
         assert max(values) - min(values) < 1e-5 * (1 + max(values))
 
 
@@ -373,3 +399,43 @@ def complexes_flows_and_candidates(draw):
 @given(complexes_flows_and_candidates())
 def test_rank_one_scores_match_full_reprojection(case):
     assert_scores_match_reprojection(*case)
+
+
+@st.composite
+def graphs_complexes_and_flows(draw):
+    """A random small graph on two node blocks, joined by one edge or not
+    (so often disconnected), where each pair within a block is an edge of
+    either orientation or no edge; up to three random tree cells when it
+    has a cycle, and random raw flows."""
+    sizes = draw(st.integers(1, 5)), draw(st.integers(0, 5))
+    pairs = [(i, j) for start, size in ((0, sizes[0]), (sizes[0], sizes[1]))
+             for i in range(start, start + size) for j in range(i + 1, start + size)]
+    kinds = draw(st.lists(st.sampled_from("-+."), min_size=len(pairs), max_size=len(pairs)))
+    edges = [(u, v) if kind == "+" else (v, u)
+             for (u, v), kind in zip(pairs, kinds) if kind != "."]
+    if sizes[1] and draw(st.booleans()):
+        edges.append((0, sizes[0]))
+    assume(edges)
+    graph = OrientedGraph(sum(sizes), edges)
+    rng = np.random.default_rng(draw(st.integers(0, 10**6)))
+    complex_ = CellComplex(graph)
+    if next(kruskal(graph, range(graph.edge_count), set()), None) is not None:
+        cells = [random_tree_cell(graph, rng) for _ in range(draw(st.integers(0, 3)))]
+        complex_ = add_cells(complex_, cells)[0]
+    flows = rng.standard_normal((graph.edge_count, draw(st.integers(1, 3))))
+    return graph, complex_, flows
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(graphs_complexes_and_flows())
+def test_hodge_decompose_parts_sum_and_are_orthogonal(case):
+    graph, complex_, flows = case
+    grad, curl, harm = parts = hodge_decompose(graph, complex_, flows)
+    total = np.linalg.norm(flows)
+    assert np.linalg.norm(sum(parts) - flows) <= 1e-12 * total
+    for a, b in itertools.combinations(parts, 2):
+        assert abs(np.sum(a * b)) <= 1e-6 * total**2
+    # and each part lies in its own space: curl and harmonic flows are
+    # divergence-free, harmonic flows also curl-free
+    assert np.linalg.norm(graph.incidence() @ (curl + harm)) <= 1e-6 * total
+    assert np.linalg.norm(complex_.boundary_matrix().T @ harm) <= 1e-6 * total

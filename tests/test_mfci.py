@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from cellflow.complexes import (
     validate_cycle,
 )
 from cellflow.hodge import (
-    SolverConfig,
     SolverTally,
     harmonic_projection,
     rank_one_scores,
@@ -380,25 +380,29 @@ class TestInferMfci:
         assert [r.cumulative_solver_calls for r in trace.records] == expected
 
     @pytest.mark.parametrize("projection", ["exact", "approximate"])
-    def test_scoring_nonconvergence_noted(self, projection):
+    def test_scoring_nonconvergence_noted(self, projection, monkeypatch):
         cpx = random_complex(SynthConfig(12, 0.7, 6, 1, seed=37))
         flows = sample_flows(cpx, 8, 1.0, 0.2, np.random.default_rng(9))
         cfg = InferenceConfig(total_cells=5, candidates_per_iteration=3, added_per_iteration=1,
-                              projection=projection, solver=SolverConfig(max_iterations=1))
+                              projection=projection)
+        _, converged = infer_mfci(cpx.graph, flows, cfg)
+        assert all(r.notes == () for r in converged.records)
+        monkeypatch.setattr(hodge, "least_squares",
+                            functools.partial(hodge.least_squares, max_iterations=1))
         _, trace = infer_mfci(cpx.graph, flows, cfg)
         # one LSMR step does not finish gradient removal (record 0); scoring
         # needs no solve on the empty complex, and one LSMR step solves the
         # rank-one system of a one-cell complex
         nc = ("solver-nonconverged",)
         assert [r.notes for r in trace.records] == [nc, (), (), nc, nc, nc]
-        _, converged = infer_mfci(cpx.graph, flows, dataclasses.replace(cfg, solver=SolverConfig()))
-        assert all(r.notes == () for r in converged.records)
 
-    def test_reprojection_nonconvergence_noted(self):
+    def test_reprojection_nonconvergence_noted(self, monkeypatch):
         cpx = random_complex(SynthConfig(12, 0.7, 6, 1, seed=37))
         flows = sample_flows(cpx, 8, 1.0, 0.2, np.random.default_rng(9))
         cfg = InferenceConfig(total_cells=6, candidates_per_iteration=2, added_per_iteration=2,
-                              projection="exact", solver=SolverConfig(max_iterations=3))
+                              projection="exact")
+        monkeypatch.setattr(hodge, "least_squares",
+                            functools.partial(hodge.least_squares, max_iterations=3))
         _, trace = infer_mfci(cpx.graph, flows, cfg)
         # no scoring here: three LSMR steps finish neither gradient removal
         # (record 0) nor the exact re-projections onto more than two cells
@@ -477,6 +481,26 @@ class TestInferMfci:
         flows[3, 1] = bad
         with pytest.raises(ValueError, match="finite"):
             infer(k4(), flows)
+
+    @pytest.mark.parametrize("infer", [
+        lambda g, F: infer_mfci(g, F, InferenceConfig(total_cells=1)),
+        lambda g, F: infer_sph(g, F, SphConfig(total_cells=1)),
+        lambda g, F: infer_random(g, F, 1, np.random.default_rng(0)),
+    ], ids=["mfci", "sph", "random"])
+    def test_forest_rejected_before_any_solve(self, infer, monkeypatch):
+        solves = []
+        monkeypatch.setattr(hodge, "least_squares", lambda *a, **k: solves.append(a))
+        path = OrientedGraph(4, [(0, 1), (1, 2), (2, 3)])
+        with pytest.raises(GraphIsForest, match="no cycle"):
+            infer(path, np.ones((3, 2)))
+        assert solves == []
+
+    def test_ica_needs_two_flow_samples(self, monkeypatch):
+        solves = []
+        monkeypatch.setattr(hodge, "least_squares", lambda *a, **k: solves.append(a))
+        with pytest.raises(ValueError, match="2 flow samples"):
+            infer_mfci(k4(), np.ones(6), InferenceConfig(total_cells=1, method="ica"))
+        assert solves == []
 
     def test_deterministic_given_seed(self):
         cpx = random_complex(SynthConfig(10, 0.7, 4, 1, seed=53))

@@ -25,7 +25,14 @@ Groups:
   ``default_rng([seed, 1])``;
 - ``criterion3``: the 50 runs of the acceptance criterion-3 sweep;
 - ``criterion6``: the criterion-6 MFCI, SPH and random runs (noise 0.1 and
-  2.0, seeds 0-6).
+  2.0, seeds 0-6);
+- ``cli``: the config-file path.  One config binding every key is written
+  to a scratch directory; ``harness.experiment_from_config`` and
+  ``harness.run_experiment`` run mfci, sph and random on it (seeds 0-2,
+  ``run.timing = off``), writing ``trace_<algo>_seed<r>.csv``, and
+  ``harness.evaluate_cells_from_config`` scores the planted cells of a
+  dataset that ``harness.synth_dataset_from_config`` wrote from the same
+  config (``eval.loss``, a ``repr``).
 
 A full digest takes about half a minute on two cores.
 """
@@ -33,6 +40,7 @@ A full digest takes about half a minute on two cores.
 from __future__ import annotations
 
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.append(str(Path(__file__).resolve().parents[1] / "src"))
@@ -40,6 +48,7 @@ sys.path.append(str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402
 
 from cellflow.baselines import SphConfig, infer_random, infer_sph  # noqa: E402
+from cellflow import harness  # noqa: E402
 from cellflow.harness import write_trace  # noqa: E402
 from cellflow.mfci import InferenceConfig, infer_mfci  # noqa: E402
 from cellflow.synth import SynthConfig, random_complex, sample_flows  # noqa: E402
@@ -130,6 +139,49 @@ def criterion6(out):
                 write_run(out / "criterion6", f"random{rep}_{tag}", trace)
 
 
+CLI_CONFIG = """\
+synth.nodes = 14
+synth.edge_probability = 0.6
+synth.cells = 6
+synth.flows = 12
+synth.cell_std = 1.0
+synth.noise_std = 0.3
+mfci.total_cells = 6
+mfci.candidates = 4
+mfci.added = 2
+mfci.rank = 5
+mfci.method = svd
+mfci.discretization = deterministic
+mfci.evaluate = on
+mfci.projection = approximate
+sph.total_cells = 6
+sph.candidates = 5
+random.total_cells = 6
+run.seeds = 0 1 2
+run.timing = off
+bench.algos = mfci sph random
+"""
+
+
+def cli(out):
+    """The config-file binding: experiments and an eval driven by one config."""
+    directory = out / "cli"
+    with tempfile.TemporaryDirectory() as scratch:
+        config = Path(scratch) / "run.cfg"
+        config.write_text(CLI_CONFIG)
+        for algo in ("mfci", "sph", "random"):
+            cfg = harness.experiment_from_config(config, directory, algo=algo)
+            harness.run_experiment(cfg, echo=lambda *_: None)
+        data = Path(scratch) / "data"
+        harness.synth_dataset_from_config(config, data, seed=5)
+        eval_config = Path(scratch) / "eval.cfg"
+        eval_config.write_text(
+            "".join(f"data.{name} = {data / name}.{ext}\n"
+                    for name, ext in (("edges", "txt"), ("flows", "csv"), ("cells", "txt"))))
+        loss = harness.evaluate_cells_from_config(eval_config)
+    (directory / "eval.loss").write_text(f"{loss!r}\n")
+
+
 def main(argv):
     if len(argv) != 1:
         sys.exit("usage: trace_digest.py OUT_DIR")
@@ -138,6 +190,7 @@ def main(argv):
     tier(out, "small", SynthConfig(20, 0.5, 16, 16, 1.0, 0.3), range(8))
     criterion3(out)
     criterion6(out)
+    cli(out)
 
 
 if __name__ == "__main__":
