@@ -114,7 +114,9 @@ def infer_random(graph, flows, total_cells, rng, timer=None):
 
     Duplicate draws are resampled up to 100 times; once a cell cannot be
     drawn fresh the run stops short.  The exact loss recorded per iteration
-    is reporting only: it is neither counted as a solver call nor timed.
+    is reporting only: ``_greedy_loop`` carries the exact harmonic flows
+    and moves them by the cell just added, with one least-squares solve per
+    record that is neither counted as a solver call nor timed.
     """
     def steps(complex_, flows0, tally):
         while True:

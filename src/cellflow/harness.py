@@ -207,12 +207,15 @@ def run_experiment(cfg, echo=print):
 
 def run_bench(cfg, algos, echo=print):
     """Sweep algorithms x seeds and write one combined CSV with ``algo`` and
-    ``seed`` columns prepended to the trace columns."""
+    ``seed`` columns prepended to the trace columns.  Every algorithm's
+    config is checked before the first seed runs, so an unknown algorithm
+    or a missing ``*.total_cells`` fails with nothing run or written."""
+    algo_cfgs = [replace(cfg, algo=algo) for algo in algos]
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = ["algo,seed," + TRACE_HEADER]
-    for algo in algos:
-        algo_cfg = replace(cfg, algo=algo)
+    for algo_cfg in algo_cfgs:
+        algo = algo_cfg.algo
         for seed in cfg.seeds:
             trace = run_one(algo_cfg, seed)
             lines.extend(f"{algo},{seed}," + _trace_row(r) for r in trace.records)

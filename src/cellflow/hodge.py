@@ -357,6 +357,23 @@ def rank_one_scores(complex_, flows_h, candidates, tally=None):
     return RankOneScores(losses, bh, weights, float(np.linalg.norm(h)))
 
 
+def grown_harmonic(before, after, flows_h, tally=None):
+    """Exact harmonic flows of ``after``, a complex that ``add_cells`` grew
+    from ``before``, given ``flows_h``, the exact harmonic flows of
+    ``before``; one least-squares solve either way.
+
+    On an empty ``before`` this is the projection of ``flows_h`` against
+    ``after``.  Otherwise only the new cells are solved for: one
+    ``rank_one_scores`` call against ``before`` with a right-hand side per
+    new cell, and ``harmonic_after`` over all of them.
+    """
+    if not before.cell_count:
+        return harmonic_projection(after, flows_h, tally)
+    new = after.cells[before.cell_count:]
+    scores = rank_one_scores(before, flows_h, new, tally)
+    return scores.harmonic_after(flows_h, list(range(len(new))))
+
+
 def hodge_decompose(graph, complex_, flows, tally=None):
     """Split raw flows into (gradient, curl, harmonic) components.
 

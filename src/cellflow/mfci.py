@@ -43,8 +43,8 @@ from .factorize import (
 from .hodge import (
     SolverTally,
     approx_harmonic_update,
+    grown_harmonic,
     harmonic_projection,
-    loss,
     make_timer,
     rank_one_scores,
     remove_gradient,
@@ -312,12 +312,18 @@ def _greedy_loop(graph, flows, total_cells, timer, steps):
     yields it (||h|| of the exact harmonic flows that SPH and evaluated
     MFCI carry by their picks' scoring directions, or of MFCI-exact's
     re-projection) or, where it yields None (MFCI-approximate without
-    evaluation, random), from a reporting recompute.  That recompute is
-    neither timed nor counted; the seconds and the solver counts cover
-    everything else, gradient removal and candidate scoring included.  A
-    record whose counted solves (gradient removal for record 0) include one
-    that ran out of iterations gets a "solver-nonconverged" note ahead of
-    the step's own notes.  Returns ``(complex, trace)``.
+    evaluation, random), from a reporting recompute.  The recompute
+    carries the exact harmonic flows of the last reported complex and
+    solves only for the cells added since (``hodge.grown_harmonic``): one
+    least-squares solve per record, against that complex with one
+    right-hand side per added cell, or a projection against the new complex
+    when that one is empty.  It is neither timed nor counted; the
+    seconds and the solver counts cover everything else, gradient removal
+    and candidate scoring included.  A record whose counted solves
+    (gradient removal for record 0) include one that ran out of iterations
+    gets a "solver-nonconverged" note ahead of the step's own notes, and
+    one whose reporting solve ran out of iterations a "report-nonconverged"
+    note after them.  Returns ``(complex, trace)``.
     """
     flows = _flow_matrix(graph, flows)
     if next(kruskal(graph, range(graph.edge_count), set()), None) is None:
@@ -334,6 +340,9 @@ def _greedy_loop(graph, flows, total_cells, timer, steps):
     records = [IterationRecord(0, (), 0, float(np.linalg.norm(flows0)), timer() - t0,
                                tally.calls, tally.iterations,
                                solver_note if tally.nonconverged else ())]
+    # The exact harmonic flows of the complex ``reported_at``, carried
+    # from one reporting recompute to the next.
+    reported, reported_at = flows0, complex_
     iterations = steps(complex_, flows0, tally)
     iteration = 0
     while complex_.cell_count < total_cells:
@@ -343,15 +352,21 @@ def _greedy_loop(graph, flows, total_cells, timer, steps):
             break
         iteration += 1
         complex_, added, exact_loss, notes = step
+        notes = tuple(notes)
         if tally.nonconverged > nonconverged:
-            notes = solver_note + tuple(notes)
+            notes = solver_note + notes
         if exact_loss is None:
             mark = timer()
-            exact_loss = loss(complex_, flows0)
+            report = SolverTally()
+            reported = grown_harmonic(reported_at, complex_, reported, report)
+            reported_at = complex_
+            exact_loss = float(np.linalg.norm(reported))
+            if report.nonconverged:
+                notes += ("report-nonconverged",)
             excluded += timer() - mark
         records.append(IterationRecord(iteration, added, complex_.cell_count, exact_loss,
                                        timer() - t0 - excluded, tally.calls,
-                                       tally.iterations, tuple(notes)))
+                                       tally.iterations, notes))
     return complex_, InferenceTrace(tuple(records))
 
 

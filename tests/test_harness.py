@@ -314,3 +314,18 @@ class TestCli:
         assert cli.main(["synth", "--config", str(synth_cfg), "--out", str(tmp_path / "data")]) == 1
         assert "'synth.node'" in capsys.readouterr().err
         assert not (tmp_path / "data").exists()
+
+    @pytest.mark.parametrize("edit", [
+        ("bench.algos = mfci sph random", "bench.algos = mfci spH random"),
+        ("sph.total_cells = 3\n", ""),
+    ], ids=["unknown-algo", "missing-total-cells"])
+    def test_bench_checks_every_algo_before_running(self, tmp_path, capsys, edit):
+        synth_cfg, run_cfg = self.write_configs(tmp_path)
+        cli.main(["synth", "--config", str(synth_cfg), "--out", str(tmp_path / "data")])
+        run_cfg.write_text(run_cfg.read_text().replace(*edit))
+        capsys.readouterr()
+        assert cli.main(["bench", "--config", str(run_cfg), "--out", str(tmp_path / "bench")]) == 1
+        captured = capsys.readouterr()
+        assert "bench: algo=" not in captured.out
+        assert "sph" in captured.err
+        assert not (tmp_path / "bench" / "bench.csv").exists()

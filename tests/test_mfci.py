@@ -3,7 +3,7 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cellflow import factorize, hodge, mfci
@@ -12,6 +12,7 @@ from cellflow.complexes import (
     CellComplex,
     OrientedGraph,
     boundary_from_edge_set,
+    kruskal,
     tree_cycle,
     validate_cycle,
 )
@@ -512,3 +513,134 @@ class TestInferMfci:
         second, trace_b = infer_mfci(cpx.graph, flows, cfg)
         assert [c.canonical() for c in first.cells] == [c.canonical() for c in second.cells]
         assert trace_a.losses() == pytest.approx(trace_b.losses(), abs=0)
+
+
+def prefix_losses(graph, flows, records):
+    """Each record's loss recomputed by a full projection of the
+    gradient-free flows against the complex that record ends with."""
+    flows0 = remove_gradient(graph, flows)
+    cells = [cell for record in records for cell in record.cells_added]
+    return np.array([hodge.loss(CellComplex(graph, cells[:record.cells_total]), flows0)
+                     for record in records])
+
+
+def assert_losses_match_prefix_reprojection(graph, flows, trace):
+    # relative to each loss, and to the initial loss where a loss is ~0
+    expected = prefix_losses(graph, flows, trace.records)
+    np.testing.assert_allclose(trace.losses(), expected, rtol=1e-10,
+                               atol=1e-12 * expected[0])
+
+
+# The two loops that report through the recompute: fast MFCI (approximate,
+# no evaluation) and the random baseline.
+REPORTED = {
+    "fast": lambda g, F: infer_mfci(g, F, InferenceConfig(
+        total_cells=6, candidates_per_iteration=2, added_per_iteration=2, method="ica",
+        projection="approximate"), np.random.default_rng(3)),
+    "random": lambda g, F: infer_random(g, F, 6, np.random.default_rng(8)),
+}
+
+
+class TestReportingRecompute:
+    def instance(self):
+        cpx = random_complex(SynthConfig(12, 0.7, 6, 1, seed=37))
+        return cpx.graph, sample_flows(cpx, 8, 1.0, 0.2, np.random.default_rng(9))
+
+    @pytest.mark.parametrize("name", sorted(REPORTED))
+    def test_one_solve_per_record_over_the_added_cells(self, name, monkeypatch):
+        graph, flows = self.instance()
+        widths = []
+        solve = hodge.least_squares
+
+        def counted(A, Y, *args, **kwargs):
+            widths.append(np.asarray(Y).reshape(Y.shape[0], -1).shape[1])
+            return solve(A, Y, *args, **kwargs)
+
+        monkeypatch.setattr(hodge, "least_squares", counted)
+        _, trace = REPORTED[name](graph, flows)
+        records = trace.records
+        # gradient removal (the one counted solve), then one reporting solve
+        # per iteration: the first projects every flow column against the
+        # new complex, each later one solves only for the cells just added
+        assert len(widths) == len(records) > 2
+        assert all(r.cumulative_solver_calls == 1 for r in records)
+        assert widths[:2] == [flows.shape[1]] * 2
+        for width, record in zip(widths[2:], records[2:]):
+            assert width <= len(record.cells_added) < flows.shape[1]
+
+    @pytest.mark.parametrize("name", sorted(REPORTED))
+    def test_losses_match_prefix_reprojection(self, name):
+        graph, flows = self.instance()
+        _, trace = REPORTED[name](graph, flows)
+        assert_losses_match_prefix_reprojection(graph, flows, trace)
+
+    def test_cells_in_the_curl_span(self):
+        # K4 has 7 simple cycles spanning a 3-dimensional cycle space, so at
+        # least four of the seven cells lie in the span of those before them
+        flows = np.random.default_rng(4).standard_normal((6, 3))
+        complex_, trace = infer_random(k4(), flows, 7, np.random.default_rng(2))
+        assert complex_.cell_count == 7
+        assert_losses_match_prefix_reprojection(k4(), flows, trace)
+        assert trace.final.loss <= 1e-12 * trace.records[0].loss
+
+    @pytest.mark.parametrize("name", sorted(REPORTED))
+    def test_reporting_nonconvergence_noted(self, name, monkeypatch):
+        graph, flows = self.instance()
+        _, converged = REPORTED[name](graph, flows)
+        assert all("report-nonconverged" not in r.notes for r in converged.records)
+        flags = []
+        solve = functools.partial(hodge.least_squares, max_iterations=1)
+
+        def capped(*args, **kwargs):
+            result = solve(*args, **kwargs)
+            flags.append(result.converged)
+            return result
+
+        monkeypatch.setattr(hodge, "least_squares", capped)
+        _, trace = REPORTED[name](graph, flows)
+        records = trace.records
+        # one LSMR step does not finish gradient removal (record 0); each
+        # later record is noted exactly when its reporting solve ran out of
+        # iterations, and the reporting solves stay out of the counts
+        assert records[0].notes == ("solver-nonconverged",)
+        assert len(flags) == len(records)
+        noted = ["report-nonconverged" in r.notes for r in records[1:]]
+        assert noted == [not ok for ok in flags[1:]]
+        assert any(noted)
+        assert all(r.notes[-1:] == ("report-nonconverged",)
+                   for r, n in zip(records[1:], noted) if n)
+        assert all((r.cumulative_solver_calls, r.cumulative_solver_iterations)
+                   == (1, records[0].cumulative_solver_iterations) for r in records)
+
+
+@st.composite
+def cyclic_graphs_and_flows(draw):
+    """A random small graph with a cycle on two node blocks, joined by one
+    edge or not (so often disconnected), where each pair within a block is
+    an edge of either orientation or no edge, plus random raw flows and a
+    seed for the random baseline."""
+    sizes = draw(st.integers(3, 6)), draw(st.integers(0, 5))
+    pairs = [(i, j) for start, size in ((0, sizes[0]), (sizes[0], sizes[1]))
+             for i in range(start, start + size) for j in range(i + 1, start + size)]
+    kinds = draw(st.lists(st.sampled_from("-+."), min_size=len(pairs), max_size=len(pairs)))
+    edges = [(u, v) if kind == "+" else (v, u)
+             for (u, v), kind in zip(pairs, kinds) if kind != "."]
+    if sizes[1] and draw(st.booleans()):
+        edges.append((0, sizes[0]))
+    assume(edges)
+    graph = OrientedGraph(sum(sizes), edges)
+    assume(next(kruskal(graph, range(graph.edge_count), set()), None) is not None)
+    seed = draw(st.integers(0, 10**6))
+    flows = np.random.default_rng(seed).standard_normal((graph.edge_count,
+                                                         draw(st.integers(1, 4))))
+    return graph, flows, draw(st.integers(1, 8)), seed
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(cyclic_graphs_and_flows())
+def test_random_trace_is_the_prefix_reprojection(case):
+    graph, flows, cells, seed = case
+    _, trace = infer_random(graph, flows, cells, np.random.default_rng(seed))
+    losses = trace.losses()
+    assert (np.diff(losses) <= 1e-10 * losses[0]).all()
+    assert_losses_match_prefix_reprojection(graph, flows, trace)

@@ -35,6 +35,17 @@ Groups:
   config (``eval.loss``, a ``repr``).
 
 A full digest takes about half a minute on two cores.
+
+Compare two digests with::
+
+    python3 tools/trace_digest.py --compare A B
+
+It prints, per group, how many files differ and the largest relative gap
+between matching losses, and lists every failing file.  It exits 1 if a
+file exists on one side only, if any file but a ``.losses`` file (the
+``.cells``, ``.notes`` and ``.csv`` files and the ``cli`` group) differs
+by a byte, or if any loss differs by more than ``LOSS_TOLERANCE``
+relative.
 """
 
 from __future__ import annotations
@@ -54,6 +65,7 @@ from cellflow.mfci import InferenceConfig, infer_mfci  # noqa: E402
 from cellflow.synth import SynthConfig, random_complex, sample_flows  # noqa: E402
 
 CONFIGS = ("fast", "exact", "best1of8", "sph", "random")
+LOSS_TOLERANCE = 1e-12
 
 
 def _no_clock():
@@ -182,9 +194,56 @@ def cli(out):
     (directory / "eval.loss").write_text(f"{loss!r}\n")
 
 
+def _loss_gap(a, b):
+    """Largest relative gap between two ``.losses`` files' values, or None
+    when their line counts differ."""
+    left, right = a.read_text().split(), b.read_text().split()
+    if len(left) != len(right):
+        return None
+    gap = 0.0
+    for x, y in zip(map(float, left), map(float, right)):
+        if x != y:
+            gap = max(gap, abs(x - y) / max(abs(x), abs(y)))
+    return gap
+
+
+def compare(a, b):
+    """Compare digests ``a`` and ``b`` (see the module docstring); returns
+    the exit status."""
+    names = sorted({p.relative_to(a) for p in a.rglob("*") if p.is_file()}
+                   | {p.relative_to(b) for p in b.rglob("*") if p.is_file()})
+    failures = []
+    groups = {}
+    for name in names:
+        group = groups.setdefault(name.parts[0], {"files": 0, "differ": 0, "gap": 0.0})
+        group["files"] += 1
+        left, right = a / name, b / name
+        if not (left.is_file() and right.is_file()):
+            failures.append(f"{name}: only in {a if left.is_file() else b}")
+            continue
+        if left.read_bytes() == right.read_bytes():
+            continue
+        group["differ"] += 1
+        gap = _loss_gap(left, right) if name.suffix == ".losses" else None
+        if gap is None:
+            failures.append(f"{name}: differs")
+            continue
+        group["gap"] = max(group["gap"], gap)
+        if gap > LOSS_TOLERANCE:
+            failures.append(f"{name}: loss gap {gap:.3g} above {LOSS_TOLERANCE:g}")
+    for name, group in groups.items():
+        print(f"{name}: {group['files']} files, {group['differ']} differ, "
+              f"largest relative loss gap {group['gap']:.3g}")
+    for failure in failures:
+        print(f"FAIL {failure}")
+    return 1 if failures else 0
+
+
 def main(argv):
+    if len(argv) == 3 and argv[0] == "--compare":
+        sys.exit(compare(Path(argv[1]), Path(argv[2])))
     if len(argv) != 1:
-        sys.exit("usage: trace_digest.py OUT_DIR")
+        sys.exit("usage: trace_digest.py OUT_DIR | trace_digest.py --compare A B")
     out = Path(argv[0])
     tier(out, "dense", SynthConfig(40, 0.9, 50, 64, 1.0, 0.3), range(5))
     tier(out, "small", SynthConfig(20, 0.5, 16, 16, 1.0, 0.3), range(8))
