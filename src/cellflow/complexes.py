@@ -153,9 +153,16 @@ class CellBoundary:
 
     Stored sparsely as sorted edge ids plus aligned signs; ``edge_count`` is
     the ambient number of edges, so ``dense()`` is self-contained.
+
+    A boundary remembers the graph object it was validated for:
+    ``validate_cycle`` (and so ``boundary_from_edge_set``) records it, and
+    ``check_cell`` against that same graph then returns at once.  The bare
+    constructor records nothing, so such a boundary (one read from a file,
+    say) is checked in full.  Negation keeps the record and the canonical
+    key, which is computed once.
     """
 
-    __slots__ = ("edge_count", "edges", "signs")
+    __slots__ = ("edge_count", "edges", "signs", "_validated_for", "_key")
 
     def __init__(self, edge_count, edges, signs):
         edges = np.asarray(edges, dtype=np.int64)
@@ -178,6 +185,8 @@ class CellBoundary:
         self.signs = signs
         self.edges.setflags(write=False)
         self.signs.setflags(write=False)
+        self._validated_for = None
+        self._key = None
 
     def dense(self, dtype=np.float64):
         b = np.zeros(self.edge_count, dtype=dtype)
@@ -193,11 +202,22 @@ class CellBoundary:
 
     def canonical(self):
         """Hashable key identifying the boundary up to a global sign flip."""
-        flip = -1 if self.signs[0] < 0 else 1
-        return (self.edge_count, tuple(self.edges), tuple(flip * self.signs))
+        if self._key is None:
+            flip = -1 if self.signs[0] < 0 else 1
+            self._key = (self.edge_count, tuple(self.edges), tuple(flip * self.signs))
+        return self._key
 
     def __neg__(self):
-        return CellBoundary(self.edge_count, self.edges, -self.signs)
+        # Same support, so the sorted edges, the validation record and the
+        # canonical key all carry over; only the signs flip.
+        out = object.__new__(CellBoundary)
+        out.edge_count = self.edge_count
+        out.edges = self.edges
+        out.signs = -self.signs
+        out.signs.setflags(write=False)
+        out._validated_for = self._validated_for
+        out._key = self._key
+        return out
 
     def __len__(self):
         return int(self.edges.size)
@@ -220,9 +240,16 @@ class CellBoundary:
 def check_cell(graph, cell):
     """Raise InvalidCell unless ``cell`` is a valid 2-cell boundary for ``graph``:
     support is a single simple cycle of >= 3 edges and the net flow at every
-    node is zero (incidence @ boundary == 0)."""
+    node is zero (incidence @ boundary == 0).
+
+    A cell that ``validate_cycle`` built for this very graph object is valid
+    by construction and returns at once; any other cell (one built for
+    another graph, or by the bare ``CellBoundary`` constructor) is checked
+    in full."""
     if not isinstance(cell, CellBoundary):
         raise InvalidCell(f"expected CellBoundary, got {type(cell).__name__}")
+    if cell._validated_for is graph:
+        return
     if cell.edge_count != graph.edge_count:
         raise InvalidCell("boundary length does not match the graph's edge count")
     if len(cell) < 3:
@@ -281,7 +308,8 @@ def validate_cycle(graph, walk):
 
     The walk must start and end at the same node and visit no other node
     twice.  Edges traversed along their stored orientation get +1, against
-    it -1.
+    it -1.  The result records ``graph`` as the graph it was validated for,
+    so ``check_cell(graph, cell)`` need not work out the cycle again.
 
     Raises
     ------
@@ -301,7 +329,9 @@ def validate_cycle(graph, walk):
         k, s = graph.edge_sign(a, b)
         edges.append(k)
         signs.append(s)
-    return CellBoundary(graph.edge_count, edges, signs)
+    cell = CellBoundary(graph.edge_count, edges, signs)
+    cell._validated_for = graph
+    return cell
 
 
 def boundary_from_edge_set(graph, edge_ids):
@@ -342,7 +372,8 @@ def boundary_from_edge_set(graph, edge_ids):
 def add_cells(complex_, new_cells):
     """Append cells to a complex, dropping duplicates (up to sign) of existing
     or earlier-in-batch cells.  This is the only way to grow a complex: only
-    the new cells are checked.
+    the new cells are checked, and a new cell that ``validate_cycle`` built
+    for the complex's graph passes ``check_cell`` without a second check.
 
     Returns
     -------

@@ -7,6 +7,7 @@ circulation strengths of that cell across the flow samples.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,23 +113,32 @@ def fast_ica(H, r, cfg=IcaConfig()):
     rng = np.random.default_rng(cfg.seed)
     W = np.zeros((r, r))
     converged = True
+    # The fixed-point step w <- E[Z g(w^T Z)] - E[g'(w^T Z)] w, written with
+    # preallocated buffers and np.add.reduce(x) / s for x.mean(), which is
+    # what mean computes: the same floating-point operations in fewer calls.
+    g = np.empty(s)
+    g_prime = np.empty(s)
+    Zg = np.empty_like(Z)
     for comp in range(r):
+        done = W[:comp]
+        done_t = done.T
         w = rng.standard_normal(r)
         w /= np.linalg.norm(w)
         ok = False
         for _ in range(cfg.max_iterations):
-            proj = w @ Z
-            g = np.tanh(proj)
-            g_prime = 1.0 - g * g
-            w_new = (Z * g).mean(axis=1) - g_prime.mean() * w
+            np.tanh(w @ Z, out=g)
+            np.multiply(g, g, out=g_prime)
+            np.subtract(1.0, g_prime, out=g_prime)
+            np.multiply(Z, g, out=Zg)
+            w_new = np.add.reduce(Zg, axis=1) / s - np.add.reduce(g_prime) / s * w
             if comp:
-                w_new -= W[:comp].T @ (W[:comp] @ w_new)
-            norm = np.linalg.norm(w_new)
+                w_new -= done_t @ (done @ w_new)
+            norm = math.sqrt(w_new @ w_new)
             if norm < 1e-12:
                 w_new = rng.standard_normal(r)
                 if comp:
-                    w_new -= W[:comp].T @ (W[:comp] @ w_new)
-                norm = np.linalg.norm(w_new)
+                    w_new -= done_t @ (done @ w_new)
+                norm = math.sqrt(w_new @ w_new)
             w_new /= norm
             delta = abs(abs(w_new @ w) - 1.0)
             w = w_new
@@ -159,8 +169,13 @@ def column_scores(H, fact):
     if fact.B.shape[0] != H.shape[0] or fact.C.shape[1] != H.shape[1]:
         raise ValueError("factorization shape does not match the flow matrix")
     scores = np.empty(fact.rank)
+    # |H - outer(B_j, C_j)| through one reused buffer: the same elementwise
+    # operations as the np.outer formula, without r temporaries.
+    residual = np.empty(H.shape)
     for j in range(fact.rank):
-        scores[j] = np.abs(H - np.outer(fact.B[:, j], fact.C[j])).sum()
+        np.multiply(fact.B[:, j, None], fact.C[j], out=residual)
+        np.subtract(H, residual, out=residual)
+        scores[j] = np.abs(residual, out=residual).sum()
     return scores
 
 

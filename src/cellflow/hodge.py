@@ -319,14 +319,38 @@ class RankOneScores(NamedTuple):
         one pick is the rank-one step ``h - b_h c``, several take one small
         dense least-squares fit, which copes with linearly dependent picks.
         """
-        flows_h = np.asarray(flows_h, dtype=np.float64)
-        h = flows_h.reshape(flows_h.shape[0], -1)
-        if len(picks) == 1:
-            step = np.outer(self.directions[:, picks[0]], self.weights[picks[0]])
-        else:
-            span = self.directions[:, picks]
-            step = span @ np.linalg.lstsq(span, h, rcond=None)[0]
-        return (h - step).reshape(flows_h.shape)
+        return _remove_directions(flows_h, self.directions, self.weights, picks)
+
+
+def _remove_directions(flows_h, directions, weights, picks):
+    """h minus its projection onto the span of the ``picks`` columns of
+    ``directions``, whose rank-one coefficients are the matching rows of
+    ``weights`` (see ``RankOneScores.harmonic_after``)."""
+    flows_h = np.asarray(flows_h, dtype=np.float64)
+    h = flows_h.reshape(flows_h.shape[0], -1)
+    if len(picks) == 1:
+        step = np.outer(directions[:, picks[0]], weights[picks[0]])
+    else:
+        span = directions[:, picks]
+        step = span @ np.linalg.lstsq(span, h, rcond=None)[0]
+    return (h - step).reshape(flows_h.shape)
+
+
+def _scoring_directions(complex_, h, candidates, tally):
+    """Each candidate's direction b_h (one column each) and weights c (one
+    row each) against ``complex_`` for the harmonic flows ``h``, from one
+    least-squares solve (see ``rank_one_scores``)."""
+    boundaries = np.stack([cell.dense() for cell in candidates], axis=1)
+    bh = boundaries
+    if complex_.cell_count:
+        B2 = complex_.boundary_matrix(dtype=np.float64).tocsr()
+        bh = boundaries - B2 @ least_squares(B2, boundaries, tally).solution
+    norms = _column_norms(bh)
+    # ||b_h|| <= 1e-10 ||b||: b is (numerically) in the curl span already.
+    spanned = norms <= 1e-10 * _column_norms(boundaries)
+    bh = np.where(spanned, 0.0, bh)
+    weights = (bh.T @ h) / np.where(spanned, np.inf, norms**2)[:, None]
+    return bh, weights
 
 
 def rank_one_scores(complex_, flows_h, candidates, tally=None):
@@ -342,18 +366,15 @@ def rank_one_scores(complex_, flows_h, candidates, tally=None):
     """
     flows_h = np.asarray(flows_h, dtype=np.float64)
     h = flows_h.reshape(flows_h.shape[0], -1)
-    boundaries = np.stack([cell.dense() for cell in candidates], axis=1)
-    bh = boundaries
-    if complex_.cell_count:
-        B2 = complex_.boundary_matrix(dtype=np.float64).tocsr()
-        bh = boundaries - B2 @ least_squares(B2, boundaries, tally).solution
-    norms = _column_norms(bh)
-    # ||b_h|| <= 1e-10 ||b||: b is (numerically) in the curl span already.
-    spanned = norms <= 1e-10 * _column_norms(boundaries)
-    bh = np.where(spanned, 0.0, bh)
-    weights = (bh.T @ h) / np.where(spanned, np.inf, norms**2)[:, None]
-    losses = np.array([np.linalg.norm(h - np.outer(bh[:, i], weights[i]))
-                       for i in range(bh.shape[1])])
+    bh, weights = _scoring_directions(complex_, h, candidates, tally)
+    # ||h - outer(b_h, c)|| through one reused buffer: the same elementwise
+    # operations as the np.outer formula, without a temporary per candidate.
+    residual = np.empty(h.shape)
+    losses = np.empty(bh.shape[1])
+    for i in range(bh.shape[1]):
+        np.multiply(bh[:, i, None], weights[i], out=residual)
+        np.subtract(h, residual, out=residual)
+        losses[i] = np.linalg.norm(residual)
     return RankOneScores(losses, bh, weights, float(np.linalg.norm(h)))
 
 
@@ -363,15 +384,19 @@ def grown_harmonic(before, after, flows_h, tally=None):
     ``before``; one least-squares solve either way.
 
     On an empty ``before`` this is the projection of ``flows_h`` against
-    ``after``.  Otherwise only the new cells are solved for: one
-    ``rank_one_scores`` call against ``before`` with a right-hand side per
-    new cell, and ``harmonic_after`` over all of them.
+    ``after``.  Otherwise only the new cells are solved for: one solve
+    against ``before`` with a right-hand side per new cell gives their
+    scoring directions (as in ``rank_one_scores``, without the per-candidate
+    losses), and h loses its projection onto all of them at once (as in
+    ``RankOneScores.harmonic_after``).
     """
     if not before.cell_count:
         return harmonic_projection(after, flows_h, tally)
+    flows_h = np.asarray(flows_h, dtype=np.float64)
     new = after.cells[before.cell_count:]
-    scores = rank_one_scores(before, flows_h, new, tally)
-    return scores.harmonic_after(flows_h, list(range(len(new))))
+    directions, weights = _scoring_directions(
+        before, flows_h.reshape(flows_h.shape[0], -1), new, tally)
+    return _remove_directions(flows_h, directions, weights, list(range(len(new))))
 
 
 def hodge_decompose(graph, complex_, flows, tally=None):

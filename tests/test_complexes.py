@@ -223,6 +223,91 @@ class TestCellBoundary:
         assert b.sign_of(0) == 1 and b.sign_of(1) == -1 and b.sign_of(2) == 0
 
 
+class TestValidateOnce:
+    """check_cell trusts a cell only for the graph object that
+    validate_cycle built it for; every other cell is checked in full."""
+
+    @staticmethod
+    def count_cycle_checks(monkeypatch):
+        calls = []
+        real = complexes.boundary_from_edge_set
+
+        def counting(graph, edge_ids):
+            calls.append(graph)
+            return real(graph, edge_ids)
+
+        monkeypatch.setattr(complexes, "boundary_from_edge_set", counting)
+        return calls
+
+    def test_validated_cell_checked_once(self, monkeypatch):
+        g = k4()
+        cell = validate_cycle(g, [0, 1, 2, 3, 0])
+        calls = self.count_cycle_checks(monkeypatch)
+        check_cell(g, cell)
+        check_cell(g, -cell)
+        assert calls == []
+        check_cell(g, CellBoundary(cell.edge_count, cell.edges, cell.signs))
+        assert calls == [g]
+        twin = k4()  # equal edges, another object: checked in full
+        check_cell(twin, cell)
+        assert calls == [g, twin]
+
+    def test_hand_built_invalid_cell_rejected(self):
+        # Two disjoint triangles at once: B1 @ b == 0, but not one cycle.
+        g = OrientedGraph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+        bad = CellBoundary(6, range(6), [1, 1, -1, 1, 1, -1])
+        assert (build_incidence(g) @ bad.dense() == 0).all()
+        with pytest.raises(InvalidCell, match="single simple cycle"):
+            check_cell(g, bad)
+        with pytest.raises(InvalidCell):
+            add_cells(CellComplex(g), [bad])
+
+    def test_cell_validated_for_another_graph_rejected(self):
+        cell = validate_cycle(k4(), [0, 1, 2, 0])  # edge ids 0, 1, 3
+        hexagon = OrientedGraph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)])
+        assert hexagon.edge_count == cell.edge_count
+        with pytest.raises(InvalidCell):
+            check_cell(hexagon, cell)
+        with pytest.raises(InvalidCell):
+            add_cells(CellComplex(hexagon), [-cell])
+
+    def test_negation_keeps_the_key(self):
+        cell = validate_cycle(k4(), [0, 1, 3, 0])
+        key = cell.canonical()
+        assert (-cell).canonical() is key
+        assert -(-cell) == cell and (-(-cell)).canonical() is key
+        assert (-cell).signs.tolist() == (-cell.signs).tolist()
+
+    def test_inferred_cells_are_not_checked_again(self, monkeypatch):
+        from cellflow.baselines import SphConfig, infer_random, infer_sph
+        from cellflow.mfci import InferenceConfig, infer_mfci
+        from cellflow.synth import SynthConfig, random_complex, sample_flows
+
+        rng = np.random.default_rng(21)
+        planted = random_complex(SynthConfig(14, 0.6, 5, 12), rng)
+        g = planted.graph
+        flows = sample_flows(planted, 12, 1.0, 0.2, rng)
+        complexes_ = {
+            "synth": planted,
+            "mfci": infer_mfci(g, flows, InferenceConfig(total_cells=5), rng)[0],
+            "walk": infer_mfci(g, flows, InferenceConfig(total_cells=5,
+                                                         discretization="random_walk"), rng)[0],
+            "sph": infer_sph(g, flows, SphConfig(total_cells=5))[0],
+            "random": infer_random(g, flows, 5, rng)[0],
+        }
+        twin = OrientedGraph(g.node_count, g.edges)
+        calls = self.count_cycle_checks(monkeypatch)
+        for name, cpx in complexes_.items():
+            assert cpx.cell_count == 5, name
+            for cell in cpx.cells:
+                check_cell(g, cell)
+        assert calls == []
+        for cpx in complexes_.values():
+            for cell in cpx.cells:
+                check_cell(twin, cell)
+        assert len(calls) == 25
+
+
 def test_random_complexes_satisfy_b1b2_zero():
     # integer identity on randomly planted complexes
     from cellflow.synth import SynthConfig, random_complex

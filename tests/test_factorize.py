@@ -15,6 +15,67 @@ from cellflow.hodge import loss, remove_gradient
 from cellflow.synth import SynthConfig, random_complex, sample_flows
 
 
+def _reference_column_scores(H, fact):
+    """column_scores as one np.outer temporary per column."""
+    return np.array([np.abs(H - np.outer(fact.B[:, j], fact.C[j])).sum()
+                     for j in range(fact.rank)])
+
+
+def _reference_fast_ica(H, r, cfg):
+    """fast_ica with the deflation loop written with .mean, np.linalg.norm
+    and fresh temporaries: fast_ica must agree with it bit for bit."""
+    H = np.asarray(H, dtype=np.float64)
+    m, s = H.shape
+    U, sv, Vt = np.linalg.svd(H, full_matrices=False)
+    sv_r = np.maximum(sv[:r], sv[0] * 1e-15)
+    Z = np.sqrt(s) * Vt[:r]
+    rng = np.random.default_rng(cfg.seed)
+    W = np.zeros((r, r))
+    converged = True
+    for comp in range(r):
+        w = rng.standard_normal(r)
+        w /= np.linalg.norm(w)
+        ok = False
+        for _ in range(cfg.max_iterations):
+            proj = w @ Z
+            g = np.tanh(proj)
+            g_prime = 1.0 - g * g
+            w_new = (Z * g).mean(axis=1) - g_prime.mean() * w
+            if comp:
+                w_new -= W[:comp].T @ (W[:comp] @ w_new)
+            norm = np.linalg.norm(w_new)
+            if norm < 1e-12:
+                w_new = rng.standard_normal(r)
+                if comp:
+                    w_new -= W[:comp].T @ (W[:comp] @ w_new)
+                norm = np.linalg.norm(w_new)
+            w_new /= norm
+            delta = abs(abs(w_new @ w) - 1.0)
+            w = w_new
+            if delta < cfg.tolerance:
+                ok = True
+                break
+        if not ok:
+            converged = False
+        W[comp] = w
+    C = W @ Z
+    B = (U[:, :r] * sv_r) @ W.T / np.sqrt(s)
+    for j in range(r):
+        i = np.argmax(np.abs(B[:, j]))
+        if B[i, j] < 0:
+            B[:, j] = -B[:, j]
+            C[j] = -C[j]
+    fact = Factorization(B, C, "ica", int(r), converged)
+    order = np.argsort(_reference_column_scores(H, fact), kind="stable")
+    return Factorization(B[:, order].copy(), C[order].copy(), "ica", int(r), converged)
+
+
+def _harmonic_flows(seed):
+    cpx = random_complex(SynthConfig(20, 0.5, 6, 1, seed=seed))
+    flows = sample_flows(cpx, 24, 1.0, 0.3, np.random.default_rng(seed))
+    return remove_gradient(cpx.graph, flows)
+
+
 class TestTruncatedSvd:
     def test_rank_one_column(self):
         H = np.array([[1.0], [1.0], [-1.0]])
@@ -149,6 +210,30 @@ class TestFastIca:
         scores = column_scores(H, fact)
         assert (np.diff(scores) >= -1e-9).all()
 
+    @pytest.mark.parametrize("case", ["random", "rank-deficient", "square", "flows",
+                                      "budget-exhausted"])
+    def test_bit_identical_to_reference_loop(self, case):
+        # The buffered deflation loop must do the same floating-point
+        # operations as the plain one, so B, C and converged agree exactly.
+        rng = np.random.default_rng(11)
+        cfg = IcaConfig(seed=3)
+        if case == "random":
+            H, r = rng.standard_normal((60, 32)), 6
+        elif case == "rank-deficient":
+            H, r = rng.standard_normal((40, 2)) @ rng.standard_normal((2, 24)), 5
+        elif case == "square":
+            H, r = rng.standard_normal((30, 8)), 8
+        elif case == "flows":
+            H, r = _harmonic_flows(5), 8
+        else:
+            H, r, cfg = rng.standard_normal((50, 16)), 6, IcaConfig(max_iterations=4, seed=1)
+        got = fast_ica(H, r, cfg)
+        want = _reference_fast_ica(H, r, cfg)
+        assert np.array_equal(got.B, want.B) and np.array_equal(got.C, want.C)
+        assert got.converged == want.converged
+        if case == "budget-exhausted":
+            assert not got.converged
+
 
 class TestColumnScores:
     def test_exact_rank_one_scores_zero(self):
@@ -160,6 +245,19 @@ class TestColumnScores:
         H = np.array([[1.0], [1.0], [-1.0]])
         fact = Factorization(np.array([[1.0], [0.0], [0.0]]), np.array([[1.0]]), "svd", 1)
         assert column_scores(H, fact)[0] == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_equal_to_outer_formula(self, layout):
+        # Scores through the reused buffer are == the np.outer formula.
+        rng = np.random.default_rng(12)
+        H = _harmonic_flows(2)
+        if layout == "F":
+            H = np.asfortranarray(H)
+        elif layout == "strided":
+            H = np.repeat(H, 2, axis=1)[:, ::2]
+        fact = Factorization(rng.standard_normal((H.shape[0], 5)),
+                             rng.standard_normal((5, H.shape[1])), "svd", 5)
+        assert np.array_equal(column_scores(H, fact), _reference_column_scores(H, fact))
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(10)

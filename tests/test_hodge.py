@@ -18,6 +18,7 @@ from cellflow.factorize import Factorization
 from cellflow.hodge import (
     SolverTally,
     approx_harmonic_update,
+    grown_harmonic,
     harmonic_projection,
     hodge_decompose,
     least_squares,
@@ -367,6 +368,34 @@ class TestRankOneScores:
         # both is adding one direction
         both = scores.harmonic_after(harmonic_projection(cpx, F), [0, 1])
         assert np.allclose(both, after, atol=1e-10)
+
+    @staticmethod
+    def planted_prefix_and_rest(s):
+        planted = random_complex(SynthConfig(16, 0.6, 9, 1, seed=14))
+        before = CellComplex(planted.graph, planted.cells[:3])
+        F = remove_gradient(planted.graph, np.random.default_rng(7).standard_normal(
+            (planted.graph.edge_count, s)))
+        return before, harmonic_projection(before, F), list(planted.cells[3:])
+
+    @pytest.mark.parametrize("s", [1, 5])
+    def test_losses_equal_the_outer_formula(self, s):
+        # Losses through the reused buffer are == one np.outer per candidate.
+        before, h, candidates = self.planted_prefix_and_rest(s)
+        scores = rank_one_scores(before, h, candidates)
+        h2 = h.reshape(h.shape[0], -1)
+        expected = [np.linalg.norm(h2 - np.outer(scores.directions[:, i], scores.weights[i]))
+                    for i in range(len(candidates))]
+        assert scores.losses.tolist() == expected
+
+    @pytest.mark.parametrize("added", [1, 4])
+    def test_grown_harmonic_is_harmonic_after_all_new_cells(self, added):
+        before, h, candidates = self.planted_prefix_and_rest(3)
+        after = add_cells(before, candidates[:added])[0]
+        tally = SolverTally()
+        grown = grown_harmonic(before, after, h, tally)
+        scores = rank_one_scores(before, h, candidates[:added])
+        assert np.array_equal(grown, scores.harmonic_after(h, list(range(added))))
+        assert tally.calls == 1
 
 
 @st.composite

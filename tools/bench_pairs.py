@@ -1,0 +1,146 @@
+#!/usr/bin/env python3
+"""Run the benchmark in alternating pairs on two checkouts and judge a claim.
+
+Usage::
+
+    python3 tools/bench_pairs.py PARENT CHANGE --workload small --seed 41 \\
+        --pairs 10 --claim fast_s --out BENCH_hotpath.json
+
+PARENT and CHANGE are two checkouts of the repository.  Pair i runs
+``python3 <checkout>/perfbench/run.py --workload W --seed S --trace 0`` in
+each of them, the parent first when i is even and the change first when i
+is odd, so that neither side always runs first.
+
+The report (JSON, written to ``--out``) holds every pair's end-to-end
+metrics and ``[failed, attempted]`` counts, and per metric each side's
+quartiles ``[q1, median, q3]`` and the number of pairs in which the change
+was lower.  The claimed metric, which must be one where lower is better (as
+every end-to-end metric of ``BENCHMARK.json`` is), passes when the change
+is lower in at least 9 of every 10 pairs and the gap between the medians is
+larger than the parent's interquartile range.  The exit status is 0 when
+the claim passes and no run failed a call, 1 otherwise.  Stdlib only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("parent", "change")
+
+
+def parse_args(argv):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--claim", required=True, help="end-to-end metric claimed to fall")
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be >= 2")
+    return args
+
+
+def commit_of(checkout):
+    """The checkout's HEAD commit, or None when it is not a git checkout."""
+    done = subprocess.run(["git", "-C", str(checkout), "rev-parse", "HEAD"],
+                          capture_output=True, text=True)
+    return done.stdout.strip() if done.returncode == 0 else None
+
+
+def run_once(checkout, workload, seed):
+    """One benchmark run; returns (environment, result) from its last two
+    output lines."""
+    command = [sys.executable, str(checkout / "perfbench" / "run.py"),
+               "--workload", workload, "--seed", str(seed), "--trace", "0"]
+    done = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
+    lines = done.stdout.strip().splitlines()
+    if done.returncode != 0 or len(lines) < 2:
+        sys.exit(f"error: {' '.join(command)} exited with {done.returncode}\n{done.stderr}")
+    return json.loads(lines[-2])["environment"], json.loads(lines[-1])
+
+
+def values(pairs, side, metric):
+    return [pair[side][metric] for pair in pairs]
+
+
+def quartiles(data):
+    """[q1, median, q3] by the inclusive method."""
+    return statistics.quantiles(data, n=4, method="inclusive")
+
+
+def summarize(pairs, metric):
+    parent, change = values(pairs, "parent", metric), values(pairs, "change", metric)
+    return {
+        "parent_q1_median_q3": [round(v, 4) for v in quartiles(parent)],
+        "change_q1_median_q3": [round(v, 4) for v in quartiles(change)],
+        "change_lower_in": f"{sum(c < p for p, c in zip(parent, change))}/{len(pairs)}",
+    }
+
+
+def judge(pairs, metric):
+    """The claim rule: the change lower in >= 9/10 of the pairs, and the
+    median gap larger than the parent's interquartile range."""
+    parent, change = values(pairs, "parent", metric), values(pairs, "change", metric)
+    wins = sum(c < p for p, c in zip(parent, change))
+    q1, median, q3 = quartiles(parent)
+    gap = median - statistics.median(change)
+    return dict(summarize(pairs, metric), median_gap=round(gap, 4),
+                parent_quartile_spread=round(q3 - q1, 4),
+                passes=wins * 10 >= 9 * len(pairs) and gap > q3 - q1)
+
+
+def main(argv=None):
+    args = parse_args(sys.argv[1:] if argv is None else argv)
+    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    pairs, environment = [], None
+    for i in range(args.pairs):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        pair = {"pair": i, "first": order[0]}
+        for side in order:
+            environment, result = run_once(checkouts[side], args.workload, args.seed)
+            pair[side] = {name: entry["value"] for name, entry in result["metrics"].items()}
+            pair[f"{side}_failed"] = [result["failed"], result["attempted"]]
+        if args.claim not in pair["parent"] or args.claim not in pair["change"]:
+            sys.exit(f"error: no end-to-end metric {args.claim!r} on both sides")
+        pairs.append(pair)
+        print(f"pair {i}: {args.claim} parent {pair['parent'][args.claim]:.4g} "
+              f"change {pair['change'][args.claim]:.4g}", flush=True)
+
+    summary = {name: summarize(pairs, name)
+               for name in pairs[0]["parent"] if name in pairs[0]["change"]}
+    verdict = judge(pairs, args.claim)
+    failed = sum(p[f"{side}_failed"][0] for p in pairs for side in SIDES)
+    report = {
+        "claim": f"{args.workload}.{args.claim}",
+        "command": f"python3 perfbench/run.py --workload {args.workload} "
+                   f"--seed {args.seed} --trace 0",
+        "commits": {side: commit_of(path) for side, path in checkouts.items()},
+        "protocol": f"{args.pairs} alternating pairs, each side run from its own checkout; "
+                    "pair i runs the parent first when i is even and the change first "
+                    "when i is odd",
+        "rule": "the change is lower in at least 9 of every 10 pairs, and the median "
+                "gap is larger than the parent's interquartile range",
+        "environment": environment,
+        "result": {f"{args.workload}.{args.claim}": verdict},
+        "failed_calls": failed,
+        "workloads": {args.workload: {"summary": summary, "pairs": pairs}},
+    }
+    args.out.write_text(json.dumps(report, indent=1) + "\n")
+    print(f"{args.workload}.{args.claim}: parent {verdict['parent_q1_median_q3']} -> change "
+          f"{verdict['change_q1_median_q3']}, lower in {verdict['change_lower_in']}, "
+          f"median gap {verdict['median_gap']:.4g} against parent spread "
+          f"{verdict['parent_quartile_spread']:.4g}: "
+          f"{'passes' if verdict['passes'] else 'fails'}; {failed} failed calls")
+    return 0 if verdict["passes"] and not failed else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
