@@ -114,8 +114,9 @@ def fast_ica(H, r, cfg=IcaConfig()):
     W = np.zeros((r, r))
     converged = True
     # The fixed-point step w <- E[Z g(w^T Z)] - E[g'(w^T Z)] w, written with
-    # preallocated buffers and np.add.reduce(x) / s for x.mean(), which is
-    # what mean computes: the same floating-point operations in fewer calls.
+    # preallocated buffers, np.add.reduce(x) / s for x.mean() and
+    # math.sqrt(w @ w) for np.linalg.norm(w), which is what mean and norm
+    # compute: the same floating-point operations in fewer calls.
     g = np.empty(s)
     g_prime = np.empty(s)
     Zg = np.empty_like(Z)
