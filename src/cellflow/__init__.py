@@ -62,7 +62,6 @@ from .baselines import (
     SphConfig,
     infer_random,
     infer_sph,
-    max_spanning_tree,
     sph_candidates,
 )
 from .synth import (

@@ -1,18 +1,18 @@
 """Spanning-tree candidate heuristic (SPH) and random-cell baseline.
 
-The SPH variant here builds a maximum-weight spanning tree on the aggregate
-absolute harmonic flow, closes candidate cycles through the heaviest
-non-tree edges, and greedily adds the single candidate that lowers the
-exact loss the most.  All candidates are scored from one rank-one solve
+The SPH variant here closes candidate cycles at the heaviest non-tree
+edges of the maximum spanning forest of the aggregate absolute harmonic
+flow, and greedily adds the single candidate that lowers the exact loss
+the most.  All candidates are scored from one rank-one solve
 (``hodge.rank_one_scores``), and the harmonic flows follow the winner's
 rank-one update instead of a fresh projection.  It is a faithful-in-spirit
 reference point, not a bit-exact port of any particular prior
 implementation.
 
 Both baselines supply only their step to ``mfci._greedy_loop``, which runs
-the loop and writes the trace.  The spanning trees are grown by
-``complexes.kruskal``; the random draw is ``complexes.random_tree_cell``,
-which the synthetic generator uses too.
+the loop and writes the trace.  SPH shares ``complexes.heaviest_tree_cycles``
+with deterministic discretization, and the random baseline shares
+``complexes.random_tree_cell`` with the synthetic generator.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import add_cells, boundary_from_edge_set, kruskal, random_tree_cell, tree_cycle
+from .complexes import add_cells, heaviest_tree_cycles, random_tree_cell
 from .hodge import rank_one_scores
 from .mfci import _greedy_loop
 
@@ -38,43 +38,23 @@ class SphConfig:
             raise ValueError("candidates_per_iteration must be >= 1")
 
 
-def max_spanning_tree(graph, weights):
-    """Greedy maximum-weight spanning forest: edges in decreasing weight
-    (ties: lower edge id) grown by ``kruskal``.  Returns the forest as
-    a set of edge ids; on a connected graph this is a spanning tree."""
-    weights = np.asarray(weights, dtype=np.float64)
-    m = graph.edge_count
-    if weights.shape != (m,):
-        raise ValueError("weights length must equal the edge count")
-    tree = set()
-    for _ in kruskal(graph, np.lexsort((np.arange(m), -weights)), tree):
-        pass
-    return tree
-
-
 def sph_candidates(complex_, flows_h, count):
     """Spanning-tree candidates from the current harmonic flows.
 
     Edge weights are the aggregate absolute harmonic flow per edge; each of
     the ``count`` heaviest non-tree edges closes one candidate cycle through
-    the max spanning tree.  Every candidate contains exactly one non-tree
-    edge and is sign-aligned to the net harmonic flow on that edge.
+    the max spanning forest (``complexes.heaviest_tree_cycles``).  Every
+    candidate contains exactly one non-tree edge and is sign-aligned to the
+    net harmonic flow on that edge.
     """
     flows_h = np.asarray(flows_h, dtype=np.float64)
     if flows_h.ndim == 1:
         flows_h = flows_h[:, None]
-    graph = complex_.graph
-    weights = np.abs(flows_h).sum(axis=1)
-    tree = max_spanning_tree(graph, weights)
-    non_tree = np.array([e for e in range(graph.edge_count) if e not in tree], dtype=np.int64)
-    if non_tree.size == 0:
-        return []
-    ranked = non_tree[np.lexsort((non_tree, -weights[non_tree]))]
     candidates = []
-    for e in ranked[:count]:
-        boundary = boundary_from_edge_set(graph, tree_cycle(graph, tree, int(e)))
+    weights = np.abs(flows_h).sum(axis=1)
+    for e, boundary in heaviest_tree_cycles(complex_.graph, weights, count):
         net = flows_h[e].sum()
-        if net != 0 and (1 if net > 0 else -1) != boundary.sign_of(int(e)):
+        if net != 0 and (1 if net > 0 else -1) != boundary.sign_of(e):
             boundary = -boundary
         candidates.append(boundary)
     return candidates
@@ -118,6 +98,8 @@ def infer_random(graph, flows, total_cells, rng, timer=None):
     and moves them by the cell just added, with one least-squares solve per
     record that is neither counted as a solver call nor timed.
     """
+    if total_cells < 1:
+        raise ValueError("total_cells must be >= 1")
     def steps(complex_, flows0, tally):
         while True:
             for _ in range(100):

@@ -3,7 +3,9 @@
 A 2-cell is a polygon glued onto a simple cycle of the graph; its boundary
 is a signed edge vector with entries in {0, +1, -1}.  All cell arithmetic
 here is exact integer arithmetic; floating point only enters downstream in
-the flow computations.
+the flow computations.  Tree cycles come from one Kruskal generator, taken
+heaviest first (``heaviest_tree_cycles``: deterministic discretization and
+SPH) or in random order (``random_tree_cell``: random baseline, synth).
 """
 
 from __future__ import annotations
@@ -457,6 +459,23 @@ def kruskal(graph, order, forest):
             forest.add(e)
         else:
             yield e
+
+
+def heaviest_tree_cycles(graph, weights, count):
+    """The first ``count`` cycles closed by Kruskal taking the edges heaviest
+    first (ties: lower edge id), as ``(closing_edge, boundary)`` pairs;
+    fewer if the graph has fewer independent cycles.  Forest paths are
+    unique, so an edge's cycle through the partial forest is its cycle
+    through the full maximum spanning forest, which is never grown."""
+    weights = np.asarray(weights, dtype=np.float64)
+    m = graph.edge_count
+    if weights.shape != (m,):
+        raise ValueError("weight vector length must equal the edge count")
+    forest = set()
+    closing = kruskal(graph, np.lexsort((np.arange(m), -weights)), forest)
+    # zip takes from range first, so kruskal is not resumed past ``count``.
+    return [(e, boundary_from_edge_set(graph, tree_cycle(graph, forest, e)))
+            for _, e in zip(range(count), closing)]
 
 
 def random_tree_cell(graph, rng):

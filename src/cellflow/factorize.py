@@ -38,9 +38,6 @@ class Factorization:
     rank: int
     converged: bool = True
 
-    def product(self):
-        return self.B @ self.C
-
 
 @dataclass(frozen=True)
 class IcaConfig:

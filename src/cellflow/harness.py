@@ -69,6 +69,8 @@ class ExperimentConfig:
         needed = {"mfci": self.mfci, "sph": self.sph, "random": self.random_cells}[self.algo]
         if needed is None:
             raise ValueError(f"missing configuration for algorithm {self.algo!r}")
+        if self.random_cells is not None and self.random_cells < 1:
+            raise ValueError("random.total_cells must be >= 1")
 
 
 class TraceRecord(NamedTuple):

@@ -251,10 +251,12 @@ def least_squares(A, Y, tally=None, tolerance=1e-8, max_iterations=None):
 def remove_gradient(graph, flows, tally=None):
     """Strip the gradient component: returns flows minus the projection onto
     the image of the transposed incidence matrix.  Counted as one solver
-    call."""
+    call.  Non-finite flows raise ``ValueError`` before the solve."""
     flows = np.asarray(flows, dtype=np.float64)
     if flows.shape[0] != graph.edge_count:
         raise ValueError("flow matrix rows must equal the graph's edge count")
+    if not np.isfinite(flows).all():
+        raise ValueError("flows must be finite: the flow matrix holds NaN or inf")
     A = graph.incidence().T.astype(np.float64).tocsr()
     return flows - A @ least_squares(A, flows, tally).solution
 

@@ -13,8 +13,8 @@ approximate mode the factorization always sees the approximate flows.
 
 ``_greedy_loop`` owns what MFCI, SPH and the random baseline have in
 common: flow shaping, gradient removal, solver accounting, the clock, the
-cell budget and the trace.  Each ``infer_*`` supplies only its step.  The
-forest growth behind deterministic discretization is ``complexes.kruskal``.
+cell budget and the trace.  Each ``infer_*`` supplies only its step.
+Deterministic discretization and SPH share ``complexes.heaviest_tree_cycles``.
 """
 
 from __future__ import annotations
@@ -27,9 +27,8 @@ import numpy as np
 from .complexes import (
     CellComplex,
     add_cells,
-    boundary_from_edge_set,
+    heaviest_tree_cycles,
     kruskal,
-    tree_cycle,
     validate_cycle,
 )
 from .factorize import (
@@ -62,6 +61,7 @@ class WalkFailed(Exception):
 _METHODS = ("svd", "ica")
 _DISCRETIZATIONS = ("deterministic", "random_walk")
 _PROJECTIONS = ("exact", "approximate")
+_WALK_RESTARTS = 20
 
 
 @dataclass(frozen=True)
@@ -156,7 +156,8 @@ def _align_sign(b, boundary):
 def discretize_deterministic(graph, b):
     """Discretize a factor column into a cell: grow a forest by adding edges
     in decreasing |b| (ties: lower edge id; zero weight last, in id order);
-    the first edge to close a cycle defines the cell, sign-aligned to b.
+    the first edge to close a cycle (``heaviest_tree_cycles``) defines the
+    cell, sign-aligned to b.
 
     Raises
     ------
@@ -164,19 +165,13 @@ def discretize_deterministic(graph, b):
         If no edge ever closes a cycle.
     """
     b = np.asarray(b, dtype=np.float64)
-    m = graph.edge_count
-    if b.shape != (m,):
-        raise ValueError("weight vector length must equal the edge count")
-    order = np.lexsort((np.arange(m), -np.abs(b)))
-    forest = set()
-    # Only the first cycle is needed, so the rest of the forest is never grown.
-    closing = next(kruskal(graph, order, forest), None)
-    if closing is None:
+    cycles = heaviest_tree_cycles(graph, np.abs(b), 1)
+    if not cycles:
         raise GraphIsForest("graph has no cycle")
-    return _align_sign(b, boundary_from_edge_set(graph, tree_cycle(graph, forest, closing)))
+    return _align_sign(b, cycles[0][1])
 
 
-def discretize_random_walk(graph, b, rng, restarts=20):
+def discretize_random_walk(graph, b, rng):
     """Discretize a factor column by a random walk weighted by |b|.
 
     The walk starts at the source of the max-|b| edge and repeatedly crosses
@@ -194,7 +189,7 @@ def discretize_random_walk(graph, b, rng, restarts=20):
     if b.shape != (m,):
         raise ValueError("weight vector length must equal the edge count")
     start = graph.edges[int(np.argmax(np.abs(b)))][0]
-    for _ in range(restarts):
+    for _ in range(_WALK_RESTARTS):
         used = set()
         visited = {start: 0}
         order = [start]
@@ -217,7 +212,7 @@ def discretize_random_walk(graph, b, rng, restarts=20):
             visited[nbr] = len(order)
             order.append(nbr)
             node = nbr
-    raise WalkFailed(f"no cycle closed in {restarts} restarts")
+    raise WalkFailed(f"no cycle closed in {_WALK_RESTARTS} restarts")
 
 
 def candidate_search(complex_, flows_h, cfg, rng):
@@ -292,8 +287,6 @@ def _flow_matrix(graph, flows):
         flows = flows[:, None]
     if flows.shape[0] != graph.edge_count:
         raise ValueError("flow matrix rows must equal the graph's edge count")
-    if not np.isfinite(flows).all():
-        raise ValueError("flows must be finite: the flow matrix holds NaN or inf")
     return flows
 
 

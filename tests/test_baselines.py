@@ -2,11 +2,23 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cellflow.baselines import SphConfig, infer_random, infer_sph, max_spanning_tree, sph_candidates
-from cellflow.complexes import CellComplex, OrientedGraph, check_cell, validate_cycle
+from cellflow.baselines import SphConfig, infer_random, infer_sph, sph_candidates
+from cellflow.complexes import (
+    CellComplex,
+    OrientedGraph,
+    boundary_from_edge_set,
+    check_cell,
+    heaviest_tree_cycles,
+    kruskal,
+    tree_cycle,
+    validate_cycle,
+)
 from cellflow import hodge
 from cellflow.hodge import loss, remove_gradient
+from cellflow.mfci import GraphIsForest, _align_sign, discretize_deterministic
 from cellflow.synth import SynthConfig, random_complex, sample_flows
 
 
@@ -18,19 +30,114 @@ def k4():
     return OrientedGraph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 
 
+def heaviest_first_forest(graph, weights):
+    """The whole forest that ``kruskal`` grows heaviest first (ties: lower
+    edge id), drained to the end: the reference the closed cycles of SPH
+    and deterministic discretization are checked against."""
+    weights = np.asarray(weights, dtype=np.float64)
+    m = graph.edge_count
+    tree = set()
+    for _ in kruskal(graph, np.lexsort((np.arange(m), -weights)), tree):
+        pass
+    return tree
+
+
+def reference_sph_candidates(complex_, flows_h, count):
+    """SPH candidates as computed before ``heaviest_tree_cycles``: the full
+    max spanning tree, its non-tree edges ranked by weight, each closed
+    through the full tree."""
+    flows_h = np.asarray(flows_h, dtype=np.float64)
+    if flows_h.ndim == 1:
+        flows_h = flows_h[:, None]
+    graph = complex_.graph
+    weights = np.abs(flows_h).sum(axis=1)
+    tree = heaviest_first_forest(graph, weights)
+    non_tree = np.array([e for e in range(graph.edge_count) if e not in tree], dtype=np.int64)
+    if non_tree.size == 0:
+        return []
+    ranked = non_tree[np.lexsort((non_tree, -weights[non_tree]))]
+    candidates = []
+    for e in ranked[:count]:
+        boundary = boundary_from_edge_set(graph, tree_cycle(graph, tree, int(e)))
+        net = flows_h[e].sum()
+        if net != 0 and (1 if net > 0 else -1) != boundary.sign_of(int(e)):
+            boundary = -boundary
+        candidates.append(boundary)
+    return candidates
+
+
+def reference_discretize_deterministic(graph, b):
+    """Deterministic discretization as computed before
+    ``heaviest_tree_cycles``: the first edge in |b| order that closes a
+    cycle, closed through the forest grown so far."""
+    b = np.asarray(b, dtype=np.float64)
+    m = graph.edge_count
+    order = np.lexsort((np.arange(m), -np.abs(b)))
+    forest = set()
+    closing = next(kruskal(graph, order, forest), None)
+    if closing is None:
+        raise GraphIsForest("graph has no cycle")
+    return _align_sign(b, boundary_from_edge_set(graph, tree_cycle(graph, forest, closing)))
+
+
 class TestMaxSpanningTree:
+    """The forest of a drained heaviest-first ``kruskal``."""
+
     def test_t3_weighted(self):
-        assert max_spanning_tree(t3(), [3.0, 2.0, 1.0]) == {0, 1}
+        assert heaviest_first_forest(t3(), [3.0, 2.0, 1.0]) == {0, 1}
 
     def test_t3_tie_rule(self):
-        assert max_spanning_tree(t3(), [1.0, 1.0, 1.0]) == {0, 1}
+        assert heaviest_first_forest(t3(), [1.0, 1.0, 1.0]) == {0, 1}
 
     def test_k4_star(self):
-        assert max_spanning_tree(k4(), [5.0, 4.0, 3.0, 2.0, 1.0, 0.0]) == {0, 1, 2}
+        assert heaviest_first_forest(k4(), [5.0, 4.0, 3.0, 2.0, 1.0, 0.0]) == {0, 1, 2}
 
     def test_disconnected_graph_gives_forest(self):
         g = OrientedGraph(4, [(0, 1), (2, 3)])
-        assert max_spanning_tree(g, [1.0, 2.0]) == {0, 1}
+        assert heaviest_first_forest(g, [1.0, 2.0]) == {0, 1}
+
+    def test_heaviest_tree_cycles_close_the_non_tree_edges_in_weight_order(self):
+        g = k4()
+        weights = [5.0, 4.0, 3.0, 2.0, 1.0, 0.0]
+        closing = [e for e, _ in heaviest_tree_cycles(g, weights, 6)]
+        assert closing == [3, 4, 5]
+        assert set(closing) == set(range(6)) - heaviest_first_forest(g, weights)
+
+
+@st.composite
+def graphs_flows_and_counts(draw):
+    """Any small graph (forests and disconnected graphs included, in
+    shuffled edge order and orientation), harmonic-flow-like columns whose
+    entries include ties and zeros, and a candidate count that may exceed
+    the graph's cycle rank."""
+    n = draw(st.integers(1, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = draw(st.permutations([pair for pair, k in zip(pairs, keep) if k]))
+    edges = [(v, u) if draw(st.booleans()) else (u, v) for u, v in edges]
+    samples = draw(st.integers(1, 3))
+    value = st.one_of(st.integers(-2, 2).map(float),
+                      st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False))
+    flows = draw(st.lists(value, min_size=len(edges) * samples, max_size=len(edges) * samples))
+    count = draw(st.integers(1, len(edges) + 2))
+    graph = OrientedGraph(n, edges)
+    return graph, np.array(flows).reshape(len(edges), samples), count
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(graphs_flows_and_counts())
+def test_heaviest_tree_cycles_match_the_full_forest_reference(case):
+    graph, flows, count = case
+    assert sph_candidates(CellComplex(graph), flows, count) == \
+        reference_sph_candidates(CellComplex(graph), flows, count)
+    b = flows[:, 0]
+    try:
+        expected = reference_discretize_deterministic(graph, b)
+    except GraphIsForest:
+        with pytest.raises(GraphIsForest):
+            discretize_deterministic(graph, b)
+        return
+    assert discretize_deterministic(graph, b) == expected
 
 
 class TestSphCandidates:
@@ -59,7 +166,7 @@ class TestSphCandidates:
         rng = np.random.default_rng(1)
         cpx = random_complex(SynthConfig(10, 0.6, 3, 1, seed=9))
         H = rng.standard_normal((cpx.graph.edge_count, 4))
-        tree = max_spanning_tree(cpx.graph, np.abs(H).sum(axis=1))
+        tree = heaviest_first_forest(cpx.graph, np.abs(H).sum(axis=1))
         for cell in sph_candidates(cpx, H, 5):
             outside = [e for e in cell.edges.tolist() if e not in tree]
             assert len(outside) == 1
@@ -153,6 +260,14 @@ class TestInferRandom:
         flows = sample_flows(cpx, 4, 1.0, 0.2, rng)
         _, trace = infer_random(cpx.graph, flows, 3, np.random.default_rng(1))
         assert all(r.cumulative_solver_calls == 1 for r in trace.records)
+
+    @pytest.mark.parametrize("total_cells", [0, -2])
+    def test_total_cells_below_one_rejected_before_any_solve(self, total_cells, monkeypatch):
+        solves = []
+        monkeypatch.setattr(hodge, "least_squares", lambda *a, **k: solves.append(a))
+        with pytest.raises(ValueError, match="total_cells"):
+            infer_random(t3(), np.array([1.0, 1.0, -1.0]), total_cells, np.random.default_rng(0))
+        assert solves == []
 
     def test_forest_rejected(self):
         g = OrientedGraph(3, [(0, 1), (1, 2)])

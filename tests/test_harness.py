@@ -194,6 +194,14 @@ class TestRunExperiment:
             ExperimentConfig(algo="random", seeds=(1, 1), out_dir=tmp_path,
                              synth=SynthConfig(8, 0.8, 2, 3), random_cells=2)
 
+    @pytest.mark.parametrize("algo", ["random", "mfci"])
+    @pytest.mark.parametrize("cells", [0, -2])
+    def test_random_cells_below_one_rejected(self, tmp_path, algo, cells):
+        with pytest.raises(ValueError, match="random.total_cells"):
+            ExperimentConfig(algo=algo, seeds=(1,), out_dir=tmp_path,
+                             synth=SynthConfig(8, 0.8, 2, 3), random_cells=cells,
+                             mfci=InferenceConfig(total_cells=1))
+
     def test_byte_identical_reruns_with_timing_off(self, tmp_path):
         def run(where):
             cfg = ExperimentConfig(
@@ -314,6 +322,20 @@ class TestCli:
         assert cli.main(["synth", "--config", str(synth_cfg), "--out", str(tmp_path / "data")]) == 1
         assert "'synth.node'" in capsys.readouterr().err
         assert not (tmp_path / "data").exists()
+
+    @pytest.mark.parametrize("command", ["infer", "bench"])
+    def test_random_total_cells_below_one_rejected(self, tmp_path, capsys, command):
+        synth_cfg, run_cfg = self.write_configs(tmp_path)
+        cli.main(["synth", "--config", str(synth_cfg), "--out", str(tmp_path / "data")])
+        run_cfg.write_text(run_cfg.read_text()
+                           .replace("random.total_cells = 3", "random.total_cells = -2")
+                           .replace("algo = mfci", "algo = random"))
+        capsys.readouterr()
+        assert cli.main([command, "--config", str(run_cfg)]) == 1
+        captured = capsys.readouterr()
+        assert "random.total_cells" in captured.err
+        assert "algo=" not in captured.out
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("edit", [
         ("bench.algos = mfci sph random", "bench.algos = mfci spH random"),

@@ -154,6 +154,19 @@ class TestRemoveGradient:
         remove_gradient(t3(), np.array([1.0, 0.0, 1.0]), tally=tally)
         assert tally.calls == 1 and tally.iterations >= 1
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_flows_rejected_before_the_solve(self, bad):
+        flows = np.ones((3, 2))
+        flows[1, 0] = bad
+        tally = SolverTally()
+        with pytest.raises(ValueError, match="finite"):
+            remove_gradient(t3(), flows, tally)
+        assert tally.calls == 0
+        # loss of the gradient-free flows, the public route that used to
+        # return nan without an error
+        with pytest.raises(ValueError, match="finite"):
+            loss(CellComplex(t3()), remove_gradient(t3(), flows))
+
 
 class TestHarmonicProjection:
     def test_no_cells_identity(self):

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cellflow import factorize, hodge, mfci
-from cellflow.baselines import SphConfig, infer_random, infer_sph, max_spanning_tree
+from cellflow.baselines import SphConfig, infer_random, infer_sph
 from cellflow.complexes import (
     CellComplex,
     OrientedGraph,
@@ -137,8 +137,10 @@ def test_discretize_deterministic_closes_first_non_tree_edge(case):
     # The forest grown up to the first cycle is part of the max spanning
     # tree, so the first non-tree edge in |b| order closes the same cycle.
     g, b = case
-    tree = max_spanning_tree(g, np.abs(b))
     order = np.lexsort((np.arange(g.edge_count), -np.abs(b)))
+    tree = set()
+    for _ in kruskal(g, order, tree):  # drained: the whole max spanning tree
+        pass
     closing = next(int(e) for e in order if int(e) not in tree)
     expected = boundary_from_edge_set(g, tree_cycle(g, tree, closing))
     cell = discretize_deterministic(g, b)

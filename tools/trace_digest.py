@@ -46,10 +46,24 @@ file exists on one side only, if any file but a ``.losses`` file (the
 ``.cells``, ``.notes`` and ``.csv`` files and the ``cli`` group) differs
 by a byte, or if any loss differs by more than ``LOSS_TOLERANCE``
 relative.
+
+The test suite applies the same rule to a subset (``gate_subset``: the
+whole ``small`` group, ``dense`` seed 0 and the ``cli`` group, a few
+seconds) against ``tests/data/digest_manifest.json``, which holds the
+sha256 of each file and the loss reprs of each ``.losses`` file.  A change
+that means to alter the traces regenerates it with::
+
+    PYTHONPATH=src python3 tools/trace_digest.py --manifest tests/data/digest_manifest.json
+
+so the change shows in its diff.  The manifest pins bytes as this
+package's numpy and BLAS produce them; another BLAS build may move last
+bits and need a regenerated manifest.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -65,6 +79,8 @@ from cellflow.mfci import InferenceConfig, infer_mfci  # noqa: E402
 from cellflow.synth import SynthConfig, random_complex, sample_flows  # noqa: E402
 
 CONFIGS = ("fast", "exact", "best1of8", "sph", "random")
+DENSE = SynthConfig(40, 0.9, 50, 64, 1.0, 0.3)
+SMALL = SynthConfig(20, 0.5, 16, 16, 1.0, 0.3)
 LOSS_TOLERANCE = 1e-12
 
 
@@ -194,10 +210,29 @@ def cli(out):
     (directory / "eval.loss").write_text(f"{loss!r}\n")
 
 
-def _loss_gap(a, b):
-    """Largest relative gap between two ``.losses`` files' values, or None
-    when their line counts differ."""
-    left, right = a.read_text().split(), b.read_text().split()
+def gate_subset(out):
+    """The runs the test suite checks against the committed manifest."""
+    tier(out, "dense", DENSE, range(1))
+    tier(out, "small", SMALL, range(8))
+    cli(out)
+
+
+def manifest(directory):
+    """``{relative name: entry}`` for every file of a digest: the list of
+    loss reprs for a ``.losses`` file, the sha256 of its bytes otherwise."""
+    entries = {}
+    for path in sorted(p for p in directory.rglob("*") if p.is_file()):
+        name = path.relative_to(directory).as_posix()
+        if path.suffix == ".losses":
+            entries[name] = path.read_text().split()
+        else:
+            entries[name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return entries
+
+
+def _loss_gap(left, right):
+    """Largest relative gap between two lists of loss reprs, or None when
+    their lengths differ."""
     if len(left) != len(right):
         return None
     gap = 0.0
@@ -207,30 +242,35 @@ def _loss_gap(a, b):
     return gap
 
 
-def compare(a, b):
-    """Compare digests ``a`` and ``b`` (see the module docstring); returns
-    the exit status."""
-    names = sorted({p.relative_to(a) for p in a.rglob("*") if p.is_file()}
-                   | {p.relative_to(b) for p in b.rglob("*") if p.is_file()})
+def compare_manifests(left, right, labels):
+    """Apply the comparison rule (see the module docstring) to two
+    manifests, named by ``labels`` in messages; returns ``(groups,
+    failures)``: per top-level group the file count, the differing files
+    and the largest loss gap, and one message per failing file."""
     failures = []
     groups = {}
-    for name in names:
-        group = groups.setdefault(name.parts[0], {"files": 0, "differ": 0, "gap": 0.0})
+    for name in sorted(left.keys() | right.keys()):
+        group = groups.setdefault(name.split("/")[0], {"files": 0, "differ": 0, "gap": 0.0})
         group["files"] += 1
-        left, right = a / name, b / name
-        if not (left.is_file() and right.is_file()):
-            failures.append(f"{name}: only in {a if left.is_file() else b}")
+        if name not in left or name not in right:
+            failures.append(f"{name}: only in {labels[0] if name in left else labels[1]}")
             continue
-        if left.read_bytes() == right.read_bytes():
+        if left[name] == right[name]:
             continue
         group["differ"] += 1
-        gap = _loss_gap(left, right) if name.suffix == ".losses" else None
+        gap = _loss_gap(left[name], right[name]) if name.endswith(".losses") else None
         if gap is None:
             failures.append(f"{name}: differs")
             continue
         group["gap"] = max(group["gap"], gap)
         if gap > LOSS_TOLERANCE:
             failures.append(f"{name}: loss gap {gap:.3g} above {LOSS_TOLERANCE:g}")
+    return groups, failures
+
+
+def compare(a, b):
+    """Compare digest directories ``a`` and ``b``; returns the exit status."""
+    groups, failures = compare_manifests(manifest(a), manifest(b), (a, b))
     for name, group in groups.items():
         print(f"{name}: {group['files']} files, {group['differ']} differ, "
               f"largest relative loss gap {group['gap']:.3g}")
@@ -239,14 +279,26 @@ def compare(a, b):
     return 1 if failures else 0
 
 
+def write_manifest(path):
+    """Regenerate ``gate_subset`` and write its manifest as JSON."""
+    with tempfile.TemporaryDirectory() as scratch:
+        gate_subset(Path(scratch))
+        entries = manifest(Path(scratch))
+    Path(path).write_text(json.dumps(entries, indent=1, sort_keys=True) + "\n")
+
+
 def main(argv):
     if len(argv) == 3 and argv[0] == "--compare":
         sys.exit(compare(Path(argv[1]), Path(argv[2])))
+    if len(argv) == 2 and argv[0] == "--manifest":
+        write_manifest(argv[1])
+        return
     if len(argv) != 1:
-        sys.exit("usage: trace_digest.py OUT_DIR | trace_digest.py --compare A B")
+        sys.exit("usage: trace_digest.py OUT_DIR | trace_digest.py --compare A B"
+                 " | trace_digest.py --manifest FILE")
     out = Path(argv[0])
-    tier(out, "dense", SynthConfig(40, 0.9, 50, 64, 1.0, 0.3), range(5))
-    tier(out, "small", SynthConfig(20, 0.5, 16, 16, 1.0, 0.3), range(8))
+    tier(out, "dense", DENSE, range(5))
+    tier(out, "small", SMALL, range(8))
     criterion3(out)
     criterion6(out)
     cli(out)
