@@ -50,8 +50,8 @@ def sph_candidates(complex_, flows_h, count):
     flows_h = np.asarray(flows_h, dtype=np.float64)
     if flows_h.ndim == 1:
         flows_h = flows_h[:, None]
-    candidates = []
     weights = np.abs(flows_h).sum(axis=1)
+    candidates = []
     for e, boundary in heaviest_tree_cycles(complex_.graph, weights, count):
         net = flows_h[e].sum()
         if net != 0 and (1 if net > 0 else -1) != boundary.sign_of(e):
