@@ -8,7 +8,9 @@ from pathlib import Path
 
 from cellflow import cli
 
-workdir = Path(tempfile.mkdtemp(prefix="cellflow-demo-"))
+# The working directory is removed when the script ends, even on an error.
+scratch = tempfile.TemporaryDirectory(prefix="cellflow-demo-")
+workdir = Path(scratch.name)
 print("working in", workdir)
 
 # 1. Generate a dataset.  A dataset is three plain-text files plus a meta
@@ -70,3 +72,5 @@ print("\n$ cellflow bench --config run.cfg")
 cli.main(["bench", "--config", str(run_cfg), "--out", str(workdir / "bench")])
 print("\nbench.csv starts with:")
 print("\n".join((workdir / "bench" / "bench.csv").read_text().splitlines()[:4]))
+
+scratch.cleanup()

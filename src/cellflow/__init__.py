@@ -39,7 +39,6 @@ from .hodge import (
 from .factorize import (
     DegenerateInput,
     Factorization,
-    IcaConfig,
     RankTooLarge,
     column_scores,
     fast_ica,

@@ -39,22 +39,6 @@ class Factorization:
     converged: bool = True
 
 
-@dataclass(frozen=True)
-class IcaConfig:
-    """FastICA settings: log-cosh contrast, deflation, SVD whitening without
-    sample centering (flows are mean-meaningful), seeded initial directions."""
-
-    max_iterations: int = 200
-    tolerance: float = 1e-4
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be > 0")
-
-
 def _check_factor_input(H, r):
     H = np.asarray(H, dtype=np.float64)
     if H.ndim != 2:
@@ -85,16 +69,25 @@ def truncated_svd(H, r):
     return Factorization(B, B.T @ H, "svd", int(r))
 
 
-def fast_ica(H, r, cfg=IcaConfig()):
+def fast_ica(H, r, seed=0, max_iterations=200, tolerance=1e-4):
     """FastICA factorization: r statistically independent source rows in C and
     the matching mixing columns in B.
 
-    Whitening keeps the r leading SVD directions of the raw (uncentered)
-    data, so ``B @ C`` reconstructs the same rank-r subspace the SVD would;
-    what changes is the basis within it.  Component signs are fixed so the
-    largest-magnitude entry of each B column is positive, and columns are
-    ordered by ascending column score.  Deterministic given cfg.seed.
+    Log-cosh contrast, deflation, and whitening by the r leading SVD
+    directions of the raw data without sample centering (flows are
+    mean-meaningful), so ``B @ C`` reconstructs the same rank-r subspace the
+    SVD would; what changes is the basis within it.  Each component starts
+    from a direction drawn from ``default_rng(seed)`` and stops once
+    ``| |w_new . w| - 1 |`` falls below ``tolerance``, or after
+    ``max_iterations`` steps (then ``converged`` is False).  Component
+    signs are fixed so the largest-magnitude entry of each B column is
+    positive, and columns are ordered by ascending column score.
+    Deterministic given the seed.
     """
+    if max_iterations < 1:
+        raise ValueError("max_iterations must be >= 1")
+    if tolerance <= 0:
+        raise ValueError("tolerance must be > 0")
     H = np.asarray(H, dtype=np.float64)
     if H.ndim != 2 or H.shape[1] < 2:
         raise ValueError("fast_ica needs at least 2 flow samples")
@@ -107,7 +100,7 @@ def fast_ica(H, r, cfg=IcaConfig()):
     sv_r = np.maximum(sv[:r], sv[0] * 1e-15)
     Z = np.sqrt(s) * Vt[:r]
 
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     W = np.zeros((r, r))
     converged = True
     # The fixed-point step w <- E[Z g(w^T Z)] - E[g'(w^T Z)] w, written with
@@ -123,7 +116,7 @@ def fast_ica(H, r, cfg=IcaConfig()):
         w = rng.standard_normal(r)
         w /= np.linalg.norm(w)
         ok = False
-        for _ in range(cfg.max_iterations):
+        for _ in range(max_iterations):
             np.tanh(w @ Z, out=g)
             np.multiply(g, g, out=g_prime)
             np.subtract(1.0, g_prime, out=g_prime)
@@ -140,7 +133,7 @@ def fast_ica(H, r, cfg=IcaConfig()):
             w_new /= norm
             delta = abs(abs(w_new @ w) - 1.0)
             w = w_new
-            if delta < cfg.tolerance:
+            if delta < tolerance:
                 ok = True
                 break
         if not ok:

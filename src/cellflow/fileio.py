@@ -184,5 +184,3 @@ def parse_config(path):
         out[key] = value.strip()
     return out
 
-
-read_meta = parse_config

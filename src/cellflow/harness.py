@@ -23,9 +23,9 @@ from . import fileio
 from .baselines import SphConfig, infer_random, infer_sph
 from .complexes import CellComplex, InvalidCell
 from .fileio import InvariantViolation, ParseError
-from .hodge import loss, make_timer, remove_gradient
+from .hodge import make_timer
 from .mfci import InferenceConfig, infer_mfci
-from .synth import SynthConfig, random_complex, sample_flows, save_dataset
+from .synth import SynthConfig, random_complex, reference_loss, sample_flows, save_dataset
 
 
 class DegenerateReference(Exception):
@@ -236,7 +236,7 @@ CONFIG_KEYS = frozenset({
     "synth.cell_std", "synth.noise_std", "synth.seed",
     "data.edges", "data.flows", "data.cells",
     "mfci.total_cells", "mfci.candidates", "mfci.added", "mfci.rank", "mfci.method",
-    "mfci.discretization", "mfci.evaluate", "mfci.projection",
+    "mfci.discretization", "mfci.projection",
     "sph.total_cells", "sph.candidates", "random.total_cells",
 })
 
@@ -322,7 +322,6 @@ def mfci_from_raw(raw):
         factorization_rank=_opt(raw, "mfci.rank", int, None),
         method=_opt(raw, "mfci.method", str, "svd"),
         discretization=_opt(raw, "mfci.discretization", str, "deterministic"),
-        evaluate_candidates=_opt(raw, "mfci.evaluate", _as_bool, None),
         projection=_opt(raw, "mfci.projection", str, "exact"),
     )
 
@@ -378,5 +377,5 @@ def evaluate_cells_from_config(path):
     data = data_from_raw(raw)
     if data is None or data.cells is None:
         raise ValueError("eval requires data.edges, data.flows and data.cells")
-    graph, flows, truth = load_dataset(data)
-    return loss(truth, remove_gradient(graph, flows))
+    _, flows, truth = load_dataset(data)
+    return reference_loss(truth, flows)

@@ -2,14 +2,15 @@
 with the baselines.
 
 Each iteration factors the current harmonic flows at low rank, discretizes
-the best factor columns into simple cycles, optionally scores the
-candidate cells by their exact post-addition loss (all of them from one
-rank-one solve, ``hodge.rank_one_scores``), adds the winners, and updates
-the harmonic flows.  With evaluation on, the exact harmonic flows move by
-the winners' scoring directions, with no further solve.  Otherwise they
-are re-projected exactly (one iterative solve) or updated by the cheap
-span-projection approximation (no iterative solve at all).  In
-approximate mode the factorization always sees the approximate flows.
+the best l factor columns into simple cycles, adds l' of them, and updates
+the harmonic flows.  When l' < l the candidates are first scored by their
+exact post-addition loss (all of them from one rank-one solve,
+``hodge.rank_one_scores``), the winners are added, and the exact harmonic
+flows move by the winners' scoring directions, with no further solve.
+With l' = l all candidates are added, and the flows are re-projected
+exactly (one iterative solve) or updated by the cheap span-projection
+approximation (no iterative solve at all).  In approximate mode the
+factorization always sees the approximate flows.
 
 ``_greedy_loop`` owns what MFCI, SPH and the random baseline have in
 common: flow shaping, gradient removal, solver accounting, the clock, the
@@ -19,7 +20,6 @@ Deterministic discretization and SPH share ``complexes.heaviest_tree_cycles``.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +33,6 @@ from .complexes import (
 )
 from .factorize import (
     DegenerateInput,
-    IcaConfig,
     column_scores,
     fast_ica,
     select_columns,
@@ -69,11 +68,12 @@ class InferenceConfig:
     """Knobs of the inference loop.
 
     ``candidates_per_iteration`` (l) factor columns are discretized each
-    iteration and ``added_per_iteration`` (l') of them are kept, so the
-    "best 1 of 8" setup is l=8, l'=1 with evaluation, and the fast "all 8,
-    no evaluation" setup is l=l'=8.  ``evaluate_candidates`` of None
-    resolves to ``l' < l``; disabling evaluation demands l' == l.
-    ``factorization_rank`` of None means rank = l.
+    iteration and ``added_per_iteration`` (l') of them are kept.  Candidates
+    are evaluated exactly when there is a choice to make, l' < l
+    (``evaluate_candidates``), so the "best 1 of 8" setup is l=8, l'=1, and
+    the fast "all 8, no evaluation" setup is l=l'=8.
+    ``factorization_rank`` of None means rank = l.  FastICA's budget is
+    ``fast_ica``'s keyword defaults; its seed is drawn from the loop's rng.
     """
 
     total_cells: int
@@ -82,10 +82,7 @@ class InferenceConfig:
     factorization_rank: int | None = None
     method: str = "svd"
     discretization: str = "deterministic"
-    evaluate_candidates: bool | None = None
     projection: str = "exact"
-    ica: IcaConfig = IcaConfig()
-    seed: int = 0
 
     def __post_init__(self):
         l = self.candidates_per_iteration
@@ -102,16 +99,16 @@ class InferenceConfig:
             raise ValueError(f"discretization must be one of {_DISCRETIZATIONS}")
         if self.projection not in _PROJECTIONS:
             raise ValueError(f"projection must be one of {_PROJECTIONS}")
-        if self.evaluate_candidates is None:
-            object.__setattr__(self, "evaluate_candidates", lp < l)
-        elif not self.evaluate_candidates and lp < l:
-            raise ValueError("evaluation can only be skipped when added == candidates")
 
     @property
     def rank(self):
         if self.factorization_rank is None:
             return self.candidates_per_iteration
         return self.factorization_rank
+
+    @property
+    def evaluate_candidates(self):
+        return self.added_per_iteration < self.candidates_per_iteration
 
 
 @dataclass(frozen=True)
@@ -234,8 +231,7 @@ def candidate_search(complex_, flows_h, cfg, rng):
     """
     l = cfg.candidates_per_iteration
     if cfg.method == "ica":
-        ica_cfg = dataclasses.replace(cfg.ica, seed=int(rng.integers(2**63)))
-        fact = fast_ica(flows_h, cfg.rank, ica_cfg)
+        fact = fast_ica(flows_h, cfg.rank, seed=int(rng.integers(2**63)))
         # fast_ica already orders its columns by ascending column score.
         columns = [fact.B[:, j].copy() for j in range(l)]
     else:
@@ -260,7 +256,8 @@ def evaluate_and_select(complex_, flows_h, candidates, count, cfg, tally=None):
     """Pick ``count`` cells from the candidates; returns ``(chosen, after)``.
 
     ``flows_h`` are the exact harmonic flows of ``complex_`` (on an empty
-    complex, the gradient-free flows).  With evaluation on, each candidate
+    complex, the gradient-free flows).  With evaluation on
+    (``cfg.evaluate_candidates``, l' < l), each candidate
     is scored by the exact loss of the complex with that single cell added,
     all of them from one rank-one solve (``hodge.rank_one_scores``: one
     counted solve, none on an empty complex), and the lowest losses win;
@@ -371,10 +368,12 @@ def infer_mfci(graph, flows, cfg, rng=None, timer=None):
     dry, or the remaining flows degenerate to zero.  The final batch is
     truncated so the cell budget is met exactly.
 
-    Returns ``(complex, trace)``; the trace holds one record for the initial
-    state (iteration 0) and one per loop iteration.  A rank above min(m, s)
-    or ``method="ica"`` on a single flow sample raises ``ValueError``, and a
-    forest ``GraphIsForest``, all before any solve.
+    ``rng`` draws the ICA seeds and the random walks; None means
+    ``default_rng(0)``.  Returns ``(complex, trace)``; the trace holds one
+    record for the initial state (iteration 0) and one per loop iteration.
+    A rank above min(m, s) or ``method="ica"`` on a single flow sample
+    raises ``ValueError``, and a forest ``GraphIsForest``, all before any
+    solve.
     """
     flows = _flow_matrix(graph, flows)
     if cfg.rank > min(flows.shape):
@@ -382,7 +381,7 @@ def infer_mfci(graph, flows, cfg, rng=None, timer=None):
     if cfg.method == "ica" and flows.shape[1] < 2:
         raise ValueError("method 'ica' needs at least 2 flow samples")
     if rng is None:
-        rng = np.random.default_rng(cfg.seed)
+        rng = np.random.default_rng(0)
 
     def steps(complex_, flows0, tally):
         # ``current`` is what the factorization sees; ``exact`` the exact

@@ -4,7 +4,6 @@ import pytest
 from cellflow.factorize import (
     DegenerateInput,
     Factorization,
-    IcaConfig,
     RankTooLarge,
     column_scores,
     fast_ica,
@@ -21,7 +20,7 @@ def _reference_column_scores(H, fact):
                      for j in range(fact.rank)])
 
 
-def _reference_fast_ica(H, r, cfg):
+def _reference_fast_ica(H, r, seed=0, max_iterations=200, tolerance=1e-4):
     """fast_ica with the deflation loop written with .mean, np.linalg.norm
     and fresh temporaries: fast_ica must agree with it bit for bit."""
     H = np.asarray(H, dtype=np.float64)
@@ -29,14 +28,14 @@ def _reference_fast_ica(H, r, cfg):
     U, sv, Vt = np.linalg.svd(H, full_matrices=False)
     sv_r = np.maximum(sv[:r], sv[0] * 1e-15)
     Z = np.sqrt(s) * Vt[:r]
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     W = np.zeros((r, r))
     converged = True
     for comp in range(r):
         w = rng.standard_normal(r)
         w /= np.linalg.norm(w)
         ok = False
-        for _ in range(cfg.max_iterations):
+        for _ in range(max_iterations):
             proj = w @ Z
             g = np.tanh(proj)
             g_prime = 1.0 - g * g
@@ -52,7 +51,7 @@ def _reference_fast_ica(H, r, cfg):
             w_new /= norm
             delta = abs(abs(w_new @ w) - 1.0)
             w = w_new
-            if delta < cfg.tolerance:
+            if delta < tolerance:
                 ok = True
                 break
         if not ok:
@@ -142,7 +141,7 @@ class TestFastIca:
         b = np.array([1.0, 1.0, -1.0, 0.0, 0.0])
         c = rng.uniform(-1, 1, size=12)
         H = np.outer(b, c)
-        fact = fast_ica(H, 1, IcaConfig(seed=0))
+        fact = fast_ica(H, 1, seed=0)
         cos = abs(fact.B[:, 0] @ b) / (np.linalg.norm(fact.B[:, 0]) * np.linalg.norm(b))
         assert cos >= 0.999
         assert np.allclose(fact.B @ fact.C, H, atol=1e-8)
@@ -161,7 +160,7 @@ class TestFastIca:
             rng = np.random.default_rng(1000 + seed)
             c = rng.uniform(-1.0, 1.0, size=(2, 1024))
             H = np.outer(b1, c[0]) + np.outer(b2, c[1])
-            fact = fast_ica(H, 2, IcaConfig(seed=seed))
+            fact = fast_ica(H, 2, seed=seed)
             supports = []
             for j in range(2):
                 col = np.abs(fact.B[:, j])
@@ -179,12 +178,21 @@ class TestFastIca:
         with pytest.raises(RankTooLarge):
             fast_ica(np.ones((3, 4)) + np.eye(3, 4), 4)
 
+    @pytest.mark.parametrize("budget, message", [
+        ({"max_iterations": 0}, "max_iterations"),
+        ({"tolerance": 0}, "tolerance"),
+    ], ids=["max_iterations", "tolerance"])
+    def test_empty_budget_rejected(self, budget, message):
+        H = np.random.default_rng(2).standard_normal((6, 10))
+        with pytest.raises(ValueError, match=message):
+            fast_ica(H, 2, **budget)
+
     def test_reconstruction_not_better_than_svd(self):
         rng = np.random.default_rng(8)
         H = rng.standard_normal((15, 10))
         for r in (1, 3, 5):
             svd_fact = truncated_svd(H, r)
-            ica_fact = fast_ica(H, r, IcaConfig(seed=2))
+            ica_fact = fast_ica(H, r, seed=2)
             svd_err = np.linalg.norm(H - svd_fact.B @ svd_fact.C)
             ica_err = np.linalg.norm(H - ica_fact.B @ ica_fact.C)
             assert ica_err >= svd_err - 1e-6
@@ -192,21 +200,21 @@ class TestFastIca:
     def test_reproducible_bit_for_bit(self):
         rng = np.random.default_rng(5)
         H = rng.standard_normal((10, 20))
-        a = fast_ica(H, 3, IcaConfig(seed=7))
-        b = fast_ica(H, 3, IcaConfig(seed=7))
+        a = fast_ica(H, 3, seed=7)
+        b = fast_ica(H, 3, seed=7)
         assert np.array_equal(a.B, b.B) and np.array_equal(a.C, b.C)
 
     def test_sign_convention(self):
         rng = np.random.default_rng(6)
         H = rng.standard_normal((8, 30))
-        fact = fast_ica(H, 2, IcaConfig(seed=1))
+        fact = fast_ica(H, 2, seed=1)
         for j in range(2):
             assert fact.B[np.argmax(np.abs(fact.B[:, j])), j] > 0
 
     def test_columns_ordered_by_score(self):
         rng = np.random.default_rng(9)
         H = rng.standard_normal((10, 40))
-        fact = fast_ica(H, 3, IcaConfig(seed=4))
+        fact = fast_ica(H, 3, seed=4)
         scores = column_scores(H, fact)
         assert (np.diff(scores) >= -1e-9).all()
 
@@ -216,7 +224,7 @@ class TestFastIca:
         # The buffered deflation loop must do the same floating-point
         # operations as the plain one, so B, C and converged agree exactly.
         rng = np.random.default_rng(11)
-        cfg = IcaConfig(seed=3)
+        ica = dict(seed=3)
         if case == "random":
             H, r = rng.standard_normal((60, 32)), 6
         elif case == "rank-deficient":
@@ -226,9 +234,9 @@ class TestFastIca:
         elif case == "flows":
             H, r = _harmonic_flows(5), 8
         else:
-            H, r, cfg = rng.standard_normal((50, 16)), 6, IcaConfig(max_iterations=4, seed=1)
-        got = fast_ica(H, r, cfg)
-        want = _reference_fast_ica(H, r, cfg)
+            H, r, ica = rng.standard_normal((50, 16)), 6, dict(max_iterations=4, seed=1)
+        got = fast_ica(H, r, **ica)
+        want = _reference_fast_ica(H, r, **ica)
         assert np.array_equal(got.B, want.B) and np.array_equal(got.C, want.C)
         assert got.converged == want.converged
         if case == "budget-exhausted":

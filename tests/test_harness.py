@@ -305,7 +305,7 @@ class TestCli:
         assert "flows.csv" in err
 
     @pytest.mark.parametrize("line", ["solver.tolerance = 1e-6", "solver.max_iterations = 5",
-                                      "mfci.candiates = 8"])
+                                      "mfci.candiates = 8", "mfci.evaluate = on"])
     @pytest.mark.parametrize("command", ["infer", "eval", "bench"])
     def test_unknown_config_key_rejected(self, tmp_path, capsys, line, command):
         synth_cfg, run_cfg = self.write_configs(tmp_path)

@@ -180,7 +180,6 @@ mfci.added = 2
 mfci.rank = 5
 mfci.method = svd
 mfci.discretization = deterministic
-mfci.evaluate = on
 mfci.projection = approximate
 sph.total_cells = 6
 sph.candidates = 5
