@@ -22,6 +22,9 @@ class DegenerateInput(Exception):
 
 
 _ZERO_SCALE = 1e-12
+# A FastICA deflation component stops once this many consecutive iterations
+# bring no new smallest delta: it has stalled, as it does on Gaussian sources.
+_STALL_ITERATIONS = 20
 
 
 @dataclass(frozen=True)
@@ -29,8 +32,8 @@ class Factorization:
     """Rank-r approximation ``B @ C`` of an edges-by-samples flow matrix.
 
     ``converged`` is only meaningful for ICA: False flags that some
-    component hit its iteration budget (the best iterate is still
-    returned)."""
+    component ran out of its iteration budget or stalled (its last iterate
+    is still returned)."""
 
     B: np.ndarray
     C: np.ndarray
@@ -51,6 +54,12 @@ def _check_factor_input(H, r):
     return H
 
 
+def _leading_right_vectors(H, r):
+    """The r leading eigenvectors of ``H.T @ H`` as columns, largest
+    eigenvalue first: the r leading right singular vectors of H."""
+    return np.linalg.eigh(H.T @ H)[1][:, ::-1][:, :r]
+
+
 def truncated_svd(H, r):
     """Best rank-r approximation: B holds the r leading left singular vectors
     (unit columns), C the corresponding singular values times right singular
@@ -63,8 +72,7 @@ def truncated_svd(H, r):
     rank below r, and ``B @ C`` is then H itself.
     """
     H = _check_factor_input(H, r)
-    _, V = np.linalg.eigh(H.T @ H)
-    B, R = np.linalg.qr(H @ V[:, ::-1][:, :r])
+    B, R = np.linalg.qr(H @ _leading_right_vectors(H, r))
     B *= np.where(np.diag(R) < 0, -1.0, 1.0)
     return Factorization(B, B.T @ H, "svd", int(r))
 
@@ -73,16 +81,25 @@ def fast_ica(H, r, seed=0, max_iterations=200, tolerance=1e-4):
     """FastICA factorization: r statistically independent source rows in C and
     the matching mixing columns in B.
 
-    Log-cosh contrast, deflation, and whitening by the r leading SVD
-    directions of the raw data without sample centering (flows are
+    Log-cosh contrast, deflation, and whitening by the r leading right
+    singular directions of the raw data without sample centering (flows are
     mean-meaningful), so ``B @ C`` reconstructs the same rank-r subspace the
-    SVD would; what changes is the basis within it.  Each component starts
-    from a direction drawn from ``default_rng(seed)`` and stops once
-    ``| |w_new . w| - 1 |`` falls below ``tolerance``, or after
-    ``max_iterations`` steps (then ``converged`` is False).  Component
-    signs are fixed so the largest-magnitude entry of each B column is
-    positive, and columns are ordered by ascending column score.
-    Deterministic given the seed.
+    SVD would; what changes is the basis within it.  The whitening goes
+    through the s x s Gram matrix, as ``truncated_svd`` does: with V_r the
+    r leading eigenvectors of ``H.T @ H``, the whitened samples are
+    ``Z = sqrt(s) * V_r.T`` and the mixing matrix is
+    ``B = (H @ V_r) @ W.T / sqrt(s)``, so no singular value is divided by.
+
+    Each component starts from a direction drawn from ``default_rng(seed)``
+    and stops once ``delta = | |w_new . w| - 1 |`` falls below
+    ``tolerance`` (converged).  It also stops, not converged, after
+    ``max_iterations`` steps, or once 20 consecutive steps bring no new
+    smallest delta: such a component has stalled, as it must when the
+    sources are Gaussian, since ICA cannot separate Gaussian sources.
+    ``converged`` is False when any component ran out of its budget or
+    stalled.  Component signs are fixed so the largest-magnitude entry of
+    each B column is positive, and columns are ordered by ascending column
+    score.  Deterministic given the seed.
     """
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
@@ -94,11 +111,8 @@ def fast_ica(H, r, seed=0, max_iterations=200, tolerance=1e-4):
     H = _check_factor_input(H, r)
     m, s = H.shape
 
-    U, sv, Vt = np.linalg.svd(H, full_matrices=False)
-    # Guard exact zeros so rank-deficient tails whiten to harmless noise
-    # instead of dividing by zero.
-    sv_r = np.maximum(sv[:r], sv[0] * 1e-15)
-    Z = np.sqrt(s) * Vt[:r]
+    V_r = _leading_right_vectors(H, r)
+    Z = np.sqrt(s) * V_r.T
 
     rng = np.random.default_rng(seed)
     W = np.zeros((r, r))
@@ -115,8 +129,8 @@ def fast_ica(H, r, seed=0, max_iterations=200, tolerance=1e-4):
         done_t = done.T
         w = rng.standard_normal(r)
         w /= np.linalg.norm(w)
-        ok = False
-        for _ in range(max_iterations):
+        best, best_at = math.inf, 0
+        for step in range(max_iterations):
             np.tanh(w @ Z, out=g)
             np.multiply(g, g, out=g_prime)
             np.subtract(1.0, g_prime, out=g_prime)
@@ -133,15 +147,15 @@ def fast_ica(H, r, seed=0, max_iterations=200, tolerance=1e-4):
             w_new /= norm
             delta = abs(abs(w_new @ w) - 1.0)
             w = w_new
-            if delta < tolerance:
-                ok = True
+            if delta < best:
+                best, best_at = delta, step
+            if delta < tolerance or step - best_at == _STALL_ITERATIONS:
                 break
-        if not ok:
-            converged = False
+        converged &= bool(delta < tolerance)
         W[comp] = w
 
     C = W @ Z
-    B = (U[:, :r] * sv_r) @ W.T / np.sqrt(s)
+    B = (H @ V_r) @ W.T / np.sqrt(s)
     # Fix signs: largest-|entry| of each mixing column positive.
     for j in range(r):
         i = np.argmax(np.abs(B[:, j]))

@@ -22,12 +22,13 @@ def _reference_column_scores(H, fact):
 
 def _reference_fast_ica(H, r, seed=0, max_iterations=200, tolerance=1e-4):
     """fast_ica with the deflation loop written with .mean, np.linalg.norm
-    and fresh temporaries: fast_ica must agree with it bit for bit."""
+    and fresh temporaries, and the stall rule as a plain counter: fast_ica
+    must agree with it bit for bit."""
     H = np.asarray(H, dtype=np.float64)
     m, s = H.shape
-    U, sv, Vt = np.linalg.svd(H, full_matrices=False)
-    sv_r = np.maximum(sv[:r], sv[0] * 1e-15)
-    Z = np.sqrt(s) * Vt[:r]
+    _, V = np.linalg.eigh(H.T @ H)
+    V_r = V[:, ::-1][:, :r]
+    Z = np.sqrt(s) * V_r.T
     rng = np.random.default_rng(seed)
     W = np.zeros((r, r))
     converged = True
@@ -35,6 +36,7 @@ def _reference_fast_ica(H, r, seed=0, max_iterations=200, tolerance=1e-4):
         w = rng.standard_normal(r)
         w /= np.linalg.norm(w)
         ok = False
+        smallest, no_new_smallest = np.inf, 0
         for _ in range(max_iterations):
             proj = w @ Z
             g = np.tanh(proj)
@@ -54,11 +56,17 @@ def _reference_fast_ica(H, r, seed=0, max_iterations=200, tolerance=1e-4):
             if delta < tolerance:
                 ok = True
                 break
+            if delta < smallest:
+                smallest, no_new_smallest = delta, 0
+            else:
+                no_new_smallest += 1
+                if no_new_smallest == 20:
+                    break
         if not ok:
             converged = False
         W[comp] = w
     C = W @ Z
-    B = (U[:, :r] * sv_r) @ W.T / np.sqrt(s)
+    B = (H @ V_r) @ W.T / np.sqrt(s)
     for j in range(r):
         i = np.argmax(np.abs(B[:, j]))
         if B[i, j] < 0:
@@ -217,6 +225,30 @@ class TestFastIca:
         fact = fast_ica(H, 3, seed=4)
         scores = column_scores(H, fact)
         assert (np.diff(scores) >= -1e-9).all()
+
+    def test_sparse_sources_converge(self):
+        # Bernoulli-Gaussian cell signals (10% active) are non-Gaussian, so
+        # ICA can identify them: the stall rule must leave every component
+        # converging.  The flows are built here, not by synth.sample_flows,
+        # whose Gaussian signals ICA cannot separate.
+        for seed in range(20):
+            cpx = random_complex(SynthConfig(40, 0.9, 6, 1, seed=seed))
+            rng = np.random.default_rng(seed)
+            B2 = cpx.boundary_matrix(dtype=np.float64)
+            signals = rng.standard_normal((6, 256)) * (rng.random((6, 256)) < 0.1)
+            H = B2 @ signals + 0.01 * rng.standard_normal((B2.shape[0], 256))
+            assert fast_ica(H, 6, seed=seed).converged, seed
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_gaussian_sources_stall_before_the_budget(self, seed):
+        # Gaussian sources have no independent components to find, so every
+        # component must end by the stall rule: a far larger budget changes
+        # nothing, and the result is flagged as not converged.
+        H = np.random.default_rng(seed).standard_normal((300, 64))
+        budget = fast_ica(H, 8, max_iterations=200)
+        larger = fast_ica(H, 8, max_iterations=10_000)
+        assert not budget.converged and not larger.converged
+        assert np.array_equal(budget.B, larger.B) and np.array_equal(budget.C, larger.C)
 
     @pytest.mark.parametrize("case", ["random", "rank-deficient", "square", "flows",
                                       "budget-exhausted"])
