@@ -23,7 +23,8 @@ class DegenerateInput(Exception):
 
 _ZERO_SCALE = 1e-12
 # A FastICA deflation component stops once this many consecutive iterations
-# bring no new smallest delta: it has stalled, as it does on Gaussian sources.
+# bring no new smallest delta: it has stalled, as components on Gaussian
+# sources, which ICA cannot separate, typically do.
 _STALL_ITERATIONS = 20
 
 
@@ -94,8 +95,8 @@ def fast_ica(H, r, seed=0, max_iterations=200, tolerance=1e-4):
     and stops once ``delta = | |w_new . w| - 1 |`` falls below
     ``tolerance`` (converged).  It also stops, not converged, after
     ``max_iterations`` steps, or once 20 consecutive steps bring no new
-    smallest delta: such a component has stalled, as it must when the
-    sources are Gaussian, since ICA cannot separate Gaussian sources.
+    smallest delta: such a component has stalled, as components typically
+    do when the sources are Gaussian, since ICA cannot separate them.
     ``converged`` is False when any component ran out of its budget or
     stalled.  Component signs are fixed so the largest-magnitude entry of
     each B column is positive, and columns are ordered by ascending column
@@ -105,8 +106,7 @@ def fast_ica(H, r, seed=0, max_iterations=200, tolerance=1e-4):
         raise ValueError("max_iterations must be >= 1")
     if tolerance <= 0:
         raise ValueError("tolerance must be > 0")
-    H = np.asarray(H, dtype=np.float64)
-    if H.ndim != 2 or H.shape[1] < 2:
+    if np.ndim(H) != 2 or np.shape(H)[1] < 2:
         raise ValueError("fast_ica needs at least 2 flow samples")
     H = _check_factor_input(H, r)
     m, s = H.shape

@@ -241,9 +241,10 @@ class TestFastIca:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_gaussian_sources_stall_before_the_budget(self, seed):
-        # Gaussian sources have no independent components to find, so every
-        # component must end by the stall rule: a far larger budget changes
-        # nothing, and the result is flagged as not converged.
+        # Gaussian sources have no independent components to find: the
+        # components that do not converge must end by the stall rule, so a
+        # far larger budget changes nothing, and the result is flagged as
+        # not converged.
         H = np.random.default_rng(seed).standard_normal((300, 64))
         budget = fast_ica(H, 8, max_iterations=200)
         larger = fast_ica(H, 8, max_iterations=10_000)
