@@ -131,29 +131,31 @@ def read_flows(path, edge_count=None):
     path = Path(path)
     if not path.exists():
         raise ParseError(f"{path}: file not found")
-    lines = [l for l in path.read_text().splitlines() if l.strip()]
+    lines = [(i, l) for i, l in enumerate(path.read_text().splitlines(), start=1)
+             if l.strip()]
     if not lines:
         _fail(path, 1, "empty flow file")
-    header = lines[0].split(",")
+    head_no, head = lines[0]
+    header = head.split(",")
     if header[0] != "edge_id" or any(h != f"f{i}" for i, h in enumerate(header[1:])):
-        _fail(path, 1, f"bad header {lines[0]!r}")
+        _fail(path, head_no, f"bad header {head!r}")
     s = len(header) - 1
     if s == 0:
-        _fail(path, 1, "flow file has no flow columns")
+        _fail(path, head_no, "flow file has no flow columns")
     rows = []
-    for i, line in enumerate(lines[1:], start=2):
+    for edge, (i, line) in enumerate(lines[1:]):
         parts = line.split(",")
         if len(parts) != s + 1:
             _fail(path, i, f"expected {s + 1} fields, got {len(parts)}")
         try:
-            if int(parts[0]) != i - 2:
+            if int(parts[0]) != edge:
                 _fail(path, i, f"edge ids must be consecutive from 0, got {parts[0]}")
             rows.append([float(x) for x in parts[1:]])
         except ValueError:
             _fail(path, i, f"non-numeric field in {line!r}")
     flows = np.array(rows, dtype=np.float64)
     if edge_count is not None and flows.shape[0] != edge_count:
-        _fail(path, len(lines), f"expected {edge_count} edge rows, found {flows.shape[0]}")
+        _fail(path, lines[-1][0], f"expected {edge_count} edge rows, found {flows.shape[0]}")
     if not np.all(np.isfinite(flows)):
         raise InvariantViolation(f"{path}: non-finite flow value")
     return flows

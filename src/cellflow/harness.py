@@ -111,11 +111,12 @@ def read_trace(path):
     path = Path(path)
     if not path.exists():
         raise ParseError(f"{path}: file not found")
-    lines = [l for l in path.read_text().splitlines() if l.strip()]
-    if not lines or lines[0] != TRACE_HEADER:
-        raise ParseError(f"{path}:1: bad trace header")
+    lines = [(i, l) for i, l in enumerate(path.read_text().splitlines(), start=1)
+             if l.strip()]
+    if not lines or lines[0][1] != TRACE_HEADER:
+        raise ParseError(f"{path}:{lines[0][0] if lines else 1}: bad trace header")
     out = []
-    for i, line in enumerate(lines[1:], start=2):
+    for i, line in lines[1:]:
         parts = line.split(",")
         if len(parts) != 6:
             raise ParseError(f"{path}:{i}: expected 6 fields")

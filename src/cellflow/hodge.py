@@ -6,12 +6,13 @@ and the harmonic space (everything orthogonal to both).  All projections
 here are computed from least-squares solves against the sparse incidence or
 boundary matrix; no Laplacian is ever materialized.
 
-The solver is a vectorized multi-right-hand-side LSMR (Golub-Kahan
-bidiagonalization with two QR sweeps).  Columns are mathematically
+The solver is CGLS (conjugate gradients on the normal equations, in the
+CGLS1 form that carries the residual and never forms A^T A), run on a
+whole block of right-hand sides at once.  Columns are mathematically
 independent: each carries its own recurrence state, converges on its own
-criterion, and is frozen once converged.  A call solves its whole batch as
-one deterministic unit, so repeated runs on identical inputs are bitwise
-identical.
+criterion (``||A^T r||`` against its target), and is frozen once
+converged.  A call solves its whole batch as one deterministic unit, so
+repeated runs on identical inputs are bitwise identical.
 
 ``least_squares`` alone holds the solver contract: relative tolerance
 1e-8 and an iteration cap of 10 * (rows + cols), as keyword defaults.  The
@@ -57,133 +58,60 @@ class ApproxUpdateResult(NamedTuple):
     degenerate_span: bool
 
 
-def _sym_ortho(a, b):
-    r = np.hypot(a, b)
-    safe = np.where(r > 0, r, 1.0)
-    c = np.where(r > 0, a / safe, 1.0)
-    s = np.where(r > 0, b / safe, 0.0)
-    return c, s, r
-
-
 def _column_norms(M):
     return np.sqrt(np.einsum("ij,ij->j", M, M))
 
 
-def _inv_or_zero(x):
-    return np.where(x > 0, 1.0 / np.where(x > 0, x, 1.0), 0.0)
+def _cgls_columns(A, At, Y, threshold, maxiter):
+    """CGLS (the CGLS1 recurrence) on every column of Y at once, from x = 0.
 
+    A column stops once its ``||A^T r|| <= threshold``; it is then frozen
+    and removed from the active set, so iteration counts match per-column
+    solves.  A column whose ``||A^T y||`` is already within its threshold
+    is done at x = 0 in no iterations.
 
-def _lsmr_columns(A, At, Y, tol, maxiter, floor):
-    """LSMR on every column of Y at once.
-
-    Per-column stopping rule: ``||A^T r|| <= max(tol * ||A^T y||, floor)``.
-    The absolute ``floor`` (per column, scaled like ||A|| * ||y||) is what
-    makes right-hand sides (numerically) orthogonal to range(A) terminate:
-    for those, tol * ||A^T y|| sits below float64 resolution.  Converged
-    columns are frozen and removed from the active set, so iteration counts
-    match per-column solves.
-
-    Returns (X, iters_per_column, converged_mask).
+    Returns (X, iters_per_column).
     """
-    q = A.shape[1]
-    s = Y.shape[1]
-    Xout = np.zeros((q, s))
-    iters = np.zeros(s, dtype=np.int64)
-    conv = np.zeros(s, dtype=bool)
-
-    beta = _column_norms(Y)
-    U = Y * _inv_or_zero(beta)
-    V = At @ U
-    alpha = _column_norms(V)
-    V = V * _inv_or_zero(alpha)
-    normar0 = alpha * beta
-
-    # Columns with A^T y = 0 (up to float noise) are already optimal at x = 0.
-    conv[normar0 <= floor] = True
-    active = np.flatnonzero(~conv)
-    if active.size == 0:
-        return Xout, iters, conv
-
-    U = U[:, active]
-    V = V[:, active]
-    alpha = alpha[active]
-    threshold = np.maximum(tol * normar0[active], floor[active])
-
-    alphabar = alpha.copy()
-    rho = np.ones(active.size)
-    rhobar = np.ones(active.size)
-    cbar = np.ones(active.size)
-    sbar = np.zeros(active.size)
-    zetabar = normar0[active].copy()
-    H = V.copy()
-    Hbar = np.zeros_like(V)
-    X = np.zeros((q, active.size))
-
+    X = np.zeros((A.shape[1], Y.shape[1]))
+    iters = np.zeros(Y.shape[1], dtype=np.int64)
+    S = np.asarray(At @ Y)
+    gamma = np.einsum("ij,ij->j", S, S)
+    active = np.flatnonzero(np.sqrt(gamma) > threshold)
+    R, P = Y[:, active], S[:, active]
+    gamma, threshold = gamma[active], threshold[active]
+    Xa = np.zeros((X.shape[0], active.size))
     it = 0
     while it < maxiter and active.size:
         it += 1
-        # Golub-Kahan bidiagonalization step.
-        U = A @ V - alpha * U
-        beta = _column_norms(U)
-        U = U * _inv_or_zero(beta)
-        V = At @ U - beta * V
-        alpha_next = _column_norms(V)
-        V = V * _inv_or_zero(alpha_next)
+        Q = A @ P
+        alpha = gamma / np.einsum("ij,ij->j", Q, Q)
+        Xa += alpha * P
+        R -= alpha * Q
+        S = At @ R
+        gamma_next = np.einsum("ij,ij->j", S, S)
+        P = S + (gamma_next / gamma) * P
+        gamma = gamma_next
 
-        # First rotation: eliminate beta from the bidiagonal.
-        c, s_, rho_next = _sym_ortho(alphabar, beta)
-        thetanew = s_ * alpha_next
-        alphabar = c * alpha_next
-
-        # Second rotation: keep the residual recurrence triangular.
-        thetabar = sbar * rho_next
-        cbar, sbar, rhobar_next = _sym_ortho(cbar * rho_next, thetanew)
-        zeta = cbar * zetabar
-        zetabar = -sbar * zetabar
-
-        Hbar = H - (thetabar * rho_next * _inv_or_zero(rho * rhobar)) * Hbar
-        X = X + (zeta * _inv_or_zero(rho_next * rhobar_next)) * Hbar
-        H = V - (thetanew * _inv_or_zero(rho_next)) * H
-
-        rho = rho_next
-        rhobar = rhobar_next
-        alpha = alpha_next
-
-        # |zetabar| estimates ||A^T r|| for the current iterate.
-        newly = np.abs(zetabar) <= threshold
-        if newly.any():
-            finished = active[newly]
-            Xout[:, finished] = X[:, newly]
-            iters[finished] = it
-            conv[finished] = True
-            keep = ~newly
-            active = active[keep]
-            U = U[:, keep]
-            V = V[:, keep]
-            H = H[:, keep]
-            Hbar = Hbar[:, keep]
-            X = X[:, keep]
-            alpha = alpha[keep]
-            alphabar = alphabar[keep]
-            rho = rho[keep]
-            rhobar = rhobar[keep]
-            cbar = cbar[keep]
-            sbar = sbar[keep]
-            zetabar = zetabar[keep]
-            threshold = threshold[keep]
-    if active.size:
-        Xout[:, active] = X
-        iters[active] = it
-    return Xout, iters, conv
+        done = np.sqrt(gamma) <= threshold
+        if done.any():
+            X[:, active[done]] = Xa[:, done]
+            iters[active[done]] = it
+            keep = ~done
+            active, Xa, R, P = active[keep], Xa[:, keep], R[:, keep], P[:, keep]
+            gamma, threshold = gamma[keep], threshold[keep]
+    X[:, active] = Xa
+    iters[active] = it
+    return X, iters
 
 
 def least_squares(A, Y, tally=None, tolerance=1e-8, max_iterations=None):
     """Minimum-norm least-squares solve of ``A x = y`` for every column of Y.
 
-    Normal-equations-free (LSMR); for each column the returned x satisfies
-    ``||A^T A x - A^T y|| <= tolerance * ||A^T y||`` unless the iteration
-    budget ran out, in which case the best iterate is returned with
-    ``converged=False``.
+    CGLS from x = 0: every iterate stays in range(A^T), so the limit is the
+    minimum-norm solution, and A^T A is never formed.  For each column the
+    returned x satisfies ``||A^T A x - A^T y|| <= tolerance * ||A^T y||``
+    unless the iteration budget ran out, in which case the last iterate is
+    returned with ``converged=False``.
 
     Parameters
     ----------
@@ -220,13 +148,13 @@ def least_squares(A, Y, tally=None, tolerance=1e-8, max_iterations=None):
     # it as converged rather than chasing an unreachable relative target.
     floor = 1e-13 * norm_a * _column_norms(Y)
 
-    # The |zetabar| convergence estimate can drift from the true residual,
-    # so verify the contract explicitly and refine stragglers on the
-    # residual system (the correction stays in range(A^T), preserving the
+    # The residual CGLS carries by recurrence can drift from y - A x, so
+    # verify the contract explicitly and refine stragglers on the residual
+    # system (the correction stays in range(A^T), preserving the
     # minimum-norm property).
     ref = _column_norms(np.asarray(At @ Y))
     target = np.maximum(tolerance * ref, floor)
-    X, iters, _ = _lsmr_columns(A, At, Y, tolerance, maxiter, floor)
+    X, iters = _cgls_columns(A, At, Y, target, maxiter)
     for _ in range(2):
         grad = np.asarray(At @ (A @ X - Y))
         bad = np.flatnonzero(_column_norms(grad) > target)
@@ -235,7 +163,8 @@ def least_squares(A, Y, tally=None, tolerance=1e-8, max_iterations=None):
             break
         R = Y[:, bad] - A @ X[:, bad]
         budget = int(maxiter - iters[bad].min())
-        D, extra, _ = _lsmr_columns(A, At, R, 0.5 * tolerance, budget, floor[bad])
+        threshold = np.maximum(0.5 * tolerance * _column_norms(grad[:, bad]), floor[bad])
+        D, extra = _cgls_columns(A, At, R, threshold, budget)
         X[:, bad] += D
         iters[bad] += extra
     grad = np.asarray(At @ (A @ X - Y))

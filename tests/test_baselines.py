@@ -199,9 +199,9 @@ class TestInferSph:
         monkeypatch.setattr(hodge, "least_squares",
                             functools.partial(hodge.least_squares, max_iterations=1))
         _, trace = infer_sph(cpx.graph, flows, cfg)
-        # one LSMR step does not finish gradient removal (record 0);
+        # one solver step does not finish gradient removal (record 0);
         # iteration 1 scores against the empty complex (no solve) and
-        # iteration 2 against one cell (one LSMR step solves a rank-one
+        # iteration 2 against one cell (one solver step solves a rank-one
         # system); from two cells on, one step runs out of budget
         nc = ("solver-nonconverged",)
         assert [r.notes for r in trace.records] == [nc, (), (), nc, nc]

@@ -47,3 +47,20 @@ def test_compare_rule_on_manifests():
                                     ("x", "y"))[1] == ["small/a.csv: differs"]
     assert digest.compare_manifests(base, {"small/a.csv": "00"},
                                     ("x", "y"))[1] == ["small/a.losses: only in x"]
+
+
+def test_compare_names_the_columns_a_csv_differs_in(tmp_path, capsys):
+    digest = load_trace_digest()
+    header = ("iteration,cells_total,loss,cumulative_seconds,cumulative_solver_calls,"
+              "cumulative_solver_iterations")
+    for side, iterations, extra in (("a", 10, ""), ("b", 12, "1,1,2.0,0,2,20\n")):
+        directory = tmp_path / side / "dense"
+        directory.mkdir(parents=True)
+        (directory / "sph_seed0.csv").write_text(f"{header}\n0,0,2.5,0,1,{iterations}\n")
+        (directory / "sph_seed0.losses").write_text("2.5\n")
+        (directory / "random_seed0.csv").write_text(f"{header}\n0,0,2.5,0,1,10\n{extra}")
+    assert digest.compare(tmp_path / "a", tmp_path / "b") == 1
+    out = capsys.readouterr().out
+    assert "dense: 3 files, 2 differ" in out
+    assert "FAIL dense/sph_seed0.csv: differs in cumulative_solver_iterations\n" in out
+    assert "FAIL dense/random_seed0.csv: differs\n" in out

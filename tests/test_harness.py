@@ -88,6 +88,12 @@ class TestFileFormats:
         with pytest.raises(ParseError, match="header"):
             read_flows(bad)
 
+    def test_flow_file_error_after_blank_lines_names_its_line(self, tmp_path):
+        bad = tmp_path / "flows.csv"
+        bad.write_text("edge_id,f0\n\n0,1.0\n\n1,abc\n")
+        with pytest.raises(ParseError, match="flows.csv:5:"):
+            read_flows(bad)
+
     def test_config_parsing(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("# comment\nmfci.l = 8\n\nname = two words here\n")
@@ -151,6 +157,15 @@ class TestWriteTrace:
         again = tmp_path / "again.csv"
         write_trace(loaded, again)
         assert again.read_bytes() == path.read_bytes()
+
+
+    def test_error_after_blank_lines_names_its_line(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        write_trace(self.records(), path)
+        header, first, _ = path.read_text().splitlines()
+        path.write_text(f"{header}\n\n{first}\n\n1,1,0\n")
+        with pytest.raises(ParseError, match="trace.csv:5:"):
+            read_trace(path)
 
 
 class TestRelativePerformance:

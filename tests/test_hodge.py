@@ -127,6 +127,30 @@ class TestLeastSquares:
         assert np.array_equal(first.solution, second.solution)
         assert first.iterations == second.iterations
 
+    def test_batch_is_its_per_column_solves(self):
+        # converged columns freeze, so a batch costs what its columns cost alone
+        B2 = random_complex(SynthConfig(30, 0.3, 8, 1, seed=5)).boundary_matrix(
+            dtype=np.float64)
+        Y = np.random.default_rng(5).standard_normal((B2.shape[0], 6))
+        batch = least_squares(B2, Y)
+        singles = [least_squares(B2, Y[:, j]) for j in range(6)]
+        assert batch.iterations == sum(r.iterations for r in singles)
+        assert np.allclose(batch.solution, np.stack([r.solution for r in singles], axis=1),
+                           rtol=0, atol=1e-12)
+
+    def test_rhs_orthogonal_to_range_stops_at_the_floor(self):
+        # curl flows are gradient-free only up to rounding: A^T y is float
+        # dust far below any relative target, and the floor ends the solve
+        cpx = random_complex(SynthConfig(30, 0.3, 8, 1, seed=5))
+        A = cpx.graph.incidence().T.astype(np.float64).tocsr()
+        curl = cpx.boundary_matrix(dtype=np.float64) @ \
+            np.random.default_rng(6).standard_normal((cpx.cell_count, 3))
+        dust = np.linalg.norm(A.T @ curl, axis=0)
+        assert ((0 < dust) & (dust < 1e-14)).all()
+        res = least_squares(A, curl)
+        assert (res.iterations, res.converged) == (0, True)
+        assert not res.solution.any()
+
 
 class TestRemoveGradient:
     def test_pure_gradient_vanishes(self):

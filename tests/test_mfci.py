@@ -389,8 +389,8 @@ class TestInferMfci:
         monkeypatch.setattr(hodge, "least_squares",
                             functools.partial(hodge.least_squares, max_iterations=1))
         _, trace = infer_mfci(cpx.graph, flows, cfg)
-        # one LSMR step does not finish gradient removal (record 0); scoring
-        # needs no solve on the empty complex, and one LSMR step solves the
+        # one solver step does not finish gradient removal (record 0); scoring
+        # needs no solve on the empty complex, and one solver step solves the
         # rank-one system of a one-cell complex
         nc = ("solver-nonconverged",)
         assert [r.notes for r in trace.records] == [nc, (), (), nc, nc, nc]
@@ -403,7 +403,7 @@ class TestInferMfci:
         monkeypatch.setattr(hodge, "least_squares",
                             functools.partial(hodge.least_squares, max_iterations=3))
         _, trace = infer_mfci(cpx.graph, flows, cfg)
-        # no scoring here: three LSMR steps finish neither gradient removal
+        # no scoring here: three solver steps finish neither gradient removal
         # (record 0) nor the exact re-projections onto more than two cells
         assert cfg.evaluate_candidates is False
         nc = ("solver-nonconverged",)
@@ -602,7 +602,7 @@ class TestReportingRecompute:
         monkeypatch.setattr(hodge, "least_squares", capped)
         _, trace = REPORTED[name](graph, flows)
         records = trace.records
-        # one LSMR step does not finish gradient removal (record 0); each
+        # one solver step does not finish gradient removal (record 0); each
         # later record is noted exactly when its reporting solve ran out of
         # iterations, and the reporting solves stay out of the counts
         assert records[0].notes == ("solver-nonconverged",)

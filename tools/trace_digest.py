@@ -41,10 +41,12 @@ Compare two digests with::
     python3 tools/trace_digest.py --compare A B
 
 It prints, per group, how many files differ and the largest relative gap
-between matching losses, and lists every failing file.  It exits 1 if a
-file exists on one side only, if any file but a ``.losses`` file (the
-``.cells``, ``.notes`` and ``.csv`` files and the ``cli`` group) differs
-by a byte, or if any loss differs by more than ``LOSS_TOLERANCE``
+between matching losses, and lists every failing file; a differing
+``.csv`` is listed with the header columns it differs in (``FAIL
+dense/sph_seed0.csv: differs in cumulative_solver_iterations``).  It
+exits 1 if a file exists on one side only, if any file but a ``.losses``
+file (the ``.cells``, ``.notes`` and ``.csv`` files and the ``cli`` group)
+differs by a byte, or if any loss differs by more than ``LOSS_TOLERANCE``
 relative.
 
 The test suite applies the same rule to a subset (``gate_subset``: the
@@ -241,11 +243,25 @@ def _loss_gap(left, right):
     return gap
 
 
-def compare_manifests(left, right, labels):
+def _csv_difference(left, right):
+    """``"in <columns>"``: the header columns in which two CSV files differ
+    in some row; None when their headers or row counts differ."""
+    tables = [[line.split(",") for line in path.read_text().splitlines()]
+              for path in (left, right)]
+    if tables[0][:1] != tables[1][:1] or len(tables[0]) != len(tables[1]):
+        return None
+    columns = [name for j, name in enumerate(tables[0][0])
+               if any(a[j:j + 1] != b[j:j + 1] for a, b in zip(tables[0][1:], tables[1][1:]))]
+    return f"in {', '.join(columns)}" if columns else None
+
+
+def compare_manifests(left, right, labels, detail=None):
     """Apply the comparison rule (see the module docstring) to two
     manifests, named by ``labels`` in messages; returns ``(groups,
     failures)``: per top-level group the file count, the differing files
-    and the largest loss gap, and one message per failing file."""
+    and the largest loss gap, and one message per failing file.
+    ``detail(name)``, when given, may return a few words on how a
+    differing non-loss file differs, which its message then carries."""
     failures = []
     groups = {}
     for name in sorted(left.keys() | right.keys()):
@@ -259,7 +275,8 @@ def compare_manifests(left, right, labels):
         group["differ"] += 1
         gap = _loss_gap(left[name], right[name]) if name.endswith(".losses") else None
         if gap is None:
-            failures.append(f"{name}: differs")
+            how = detail(name) if detail else None
+            failures.append(f"{name}: differs{f' {how}' if how else ''}")
             continue
         group["gap"] = max(group["gap"], gap)
         if gap > LOSS_TOLERANCE:
@@ -268,8 +285,12 @@ def compare_manifests(left, right, labels):
 
 
 def compare(a, b):
-    """Compare digest directories ``a`` and ``b``; returns the exit status."""
-    groups, failures = compare_manifests(manifest(a), manifest(b), (a, b))
+    """Compare digest directories ``a`` and ``b``; returns the exit status.
+    A differing ``.csv`` is listed with the header columns it differs in."""
+    def detail(name):
+        return _csv_difference(a / name, b / name) if name.endswith(".csv") else None
+
+    groups, failures = compare_manifests(manifest(a), manifest(b), (a, b), detail)
     for name, group in groups.items():
         print(f"{name}: {group['files']} files, {group['differ']} differ, "
               f"largest relative loss gap {group['gap']:.3g}")
