@@ -3,11 +3,12 @@
 The SPH variant here closes candidate cycles at the heaviest non-tree
 edges of the maximum spanning forest of the aggregate absolute harmonic
 flow, and greedily adds the single candidate that lowers the exact loss
-the most.  All candidates are scored from one rank-one solve
-(``hodge.rank_one_scores``), and the harmonic flows follow the winner's
-rank-one update instead of a fresh projection.  It is a faithful-in-spirit
-reference point, not a bit-exact port of any particular prior
-implementation.
+the most.  All candidates are scored against an orthonormal basis of the
+curl span (``hodge.rank_one_scores``), which grows by the winner's
+direction; the harmonic flows follow the winner's rank-one update instead
+of a fresh projection, so no solve runs after gradient removal.  It is a
+faithful-in-spirit reference point, not a bit-exact port of any
+particular prior implementation.
 
 Both baselines supply only their step to ``mfci._greedy_loop``, which runs
 the loop and writes the trace.  SPH shares ``complexes.heaviest_tree_cycles``
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes import add_cells, heaviest_tree_cycles, random_tree_cell
-from .hodge import rank_one_scores
+from .hodge import curl_basis, rank_one_scores
 from .mfci import _greedy_loop
 
 
@@ -64,25 +65,27 @@ def infer_sph(graph, flows, cfg, rng=None, timer=None):
     """Greedy spanning-tree inference.
 
     Each iteration draws candidates from the current harmonic flows h,
-    scores them all by their exact post-addition loss with one rank-one
-    solve (none on the empty complex, so the counts run 1, 1, 2, 3, ...),
-    adds the single best cell, and moves h by that cell's rank-one update;
-    the recorded loss is ||h||.  ``rng`` is accepted for interface
-    symmetry; the heuristic itself is deterministic.
+    scores them all by their exact post-addition loss against an
+    orthonormal basis of the curl span, adds the single best cell, and
+    moves h by that cell's rank-one update and the basis by its direction;
+    the recorded loss is ||h||.  Only gradient removal solves, so the
+    solver counts read 1 on every record.  ``rng`` is accepted for
+    interface symmetry; the heuristic itself is deterministic.
     """
     del rng
 
     def steps(complex_, flows0, tally):
-        current = flows0
+        current, basis = flows0, curl_basis(complex_)
         while True:
             candidates = [c for c in sph_candidates(complex_, current, cfg.candidates_per_iteration)
                           if c.canonical() not in complex_.keys]
             if not candidates:
                 return
-            scores = rank_one_scores(complex_, current, candidates, tally)
+            scores = rank_one_scores(basis, current, candidates)
             best = scores.best(1)
             complex_, added, _ = add_cells(complex_, [candidates[best[0]]])
             current = scores.harmonic_after(current, best)
+            basis = scores.basis_after(basis, best)
             yield complex_, added, float(np.linalg.norm(current)), ()
 
     return _greedy_loop(graph, flows, cfg.total_cells, timer, steps)

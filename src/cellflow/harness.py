@@ -120,8 +120,11 @@ def read_trace(path):
         parts = line.split(",")
         if len(parts) != 6:
             raise ParseError(f"{path}:{i}: expected 6 fields")
-        out.append(TraceRecord(int(parts[0]), int(parts[1]), float(parts[2]),
-                               float(parts[3]), int(parts[4]), int(parts[5])))
+        try:
+            out.append(TraceRecord(int(parts[0]), int(parts[1]), float(parts[2]),
+                                   float(parts[3]), int(parts[4]), int(parts[5])))
+        except ValueError:
+            raise ParseError(f"{path}:{i}: non-numeric field in {line!r}") from None
     return out
 
 

@@ -2,9 +2,13 @@
 
 Edge-flow space splits orthogonally into the gradient space (image of the
 transposed incidence matrix), the curl space (image of the boundary matrix),
-and the harmonic space (everything orthogonal to both).  All projections
-here are computed from least-squares solves against the sparse incidence or
-boundary matrix; no Laplacian is ever materialized.
+and the harmonic space (everything orthogonal to both).  Gradient removal
+and the curl projections of a whole complex are least-squares solves
+against the sparse incidence or boundary matrix; no Laplacian is ever
+materialized.  Candidate scoring instead runs against a dense orthonormal
+basis of the curl span (``curl_basis``), which a greedy loop extends by one
+direction per added cell (``RankOneScores.basis_after``), so it needs no
+solve at all.
 
 The solver is CGLS (conjugate gradients on the normal equations, in the
 CGLS1 form that carries the residual and never forms A^T A), run on a
@@ -211,6 +215,46 @@ def loss(complex_, flows, tally=None):
     return float(np.linalg.norm(harmonic_projection(complex_, flows, tally)))
 
 
+def _orthonormal_extension(basis, vectors, scales):
+    """``basis`` (orthonormal columns) with each column of ``vectors``
+    appended, by classical Gram-Schmidt run twice against the basis grown so
+    far ("twice is enough") and then normalized.  A column whose remainder
+    is at most 1e-10 times its entry in ``scales`` lies in the span already
+    and is dropped."""
+    added = []
+    for v, scale in zip(vectors.T, scales):
+        grown = np.column_stack([basis, *added]) if added else basis
+        for _ in range(2):
+            v = v - grown @ (grown.T @ v)
+        norm = np.linalg.norm(v)
+        if norm > 1e-10 * scale:
+            added.append(v / norm)
+    return np.column_stack([basis, *added])
+
+
+def curl_basis(complex_):
+    """Orthonormal basis (m x r, r the rank) of the curl span of
+    ``complex_``: the columns of its boundary matrix, orthonormalized in
+    cell order by CGS2.  A cell whose boundary b is within 1e-10 ||b|| of
+    the span of the cells before it adds no column."""
+    boundaries = complex_.boundary_matrix(dtype=np.float64).toarray()
+    empty = np.zeros((boundaries.shape[0], 0))
+    return _orthonormal_extension(empty, boundaries, _column_norms(boundaries))
+
+
+def _guarded_directions(boundaries, bh, h):
+    """The scoring directions b_h (one column each) and weights
+    c = b_h^T h / ||b_h||^2 (one row each) of ``boundaries``, given their
+    curl-span residuals ``bh``.  A residual with ||b_h|| <= 1e-10 ||b|| means
+    b is (numerically) in the curl span already: its direction becomes zero
+    and its weights zero."""
+    norms = _column_norms(bh)
+    spanned = norms <= 1e-10 * _column_norms(boundaries)
+    bh = np.where(spanned, 0.0, bh)
+    weights = (bh.T @ h) / np.where(spanned, np.inf, norms**2)[:, None]
+    return bh, weights
+
+
 class RankOneScores(NamedTuple):
     """Per-candidate scores from ``rank_one_scores``.
 
@@ -218,8 +262,8 @@ class RankOneScores(NamedTuple):
     holds each candidate's boundary minus its curl projection (b_h, one
     column each; zero for a candidate already in the curl span) and
     ``weights`` the matching least-squares coefficients (c, one row each).
-    ``unchanged`` is the loss before any addition, ||h||.  Whether the
-    scoring solve converged is counted by the caller's ``SolverTally``.
+    ``unchanged`` is the loss before any addition, ||h||.  Scoring runs no
+    solve, so there is nothing to count or to fail to converge.
     """
 
     losses: np.ndarray
@@ -252,6 +296,16 @@ class RankOneScores(NamedTuple):
         """
         return _remove_directions(flows_h, self.directions, self.weights, picks)
 
+    def basis_after(self, basis, picks):
+        """The scoring ``basis`` extended to the curl span after adding the
+        candidates ``picks``: each pick's b_h, normalized and appended.  Every
+        b_h is orthogonal to ``basis`` already, so CGS2 against the grown
+        basis matters only among several picks; a zero direction (a pick in
+        the curl span, or one dependent on the picks before it) adds no
+        column."""
+        directions = self.directions[:, picks]
+        return _orthonormal_extension(basis, directions, _column_norms(directions))
+
 
 def _remove_directions(flows_h, directions, weights, picks):
     """h minus its projection onto the span of the ``picks`` columns of
@@ -267,37 +321,25 @@ def _remove_directions(flows_h, directions, weights, picks):
     return (h - step).reshape(flows_h.shape)
 
 
-def _scoring_directions(complex_, h, candidates, tally):
-    """Each candidate's direction b_h (one column each) and weights c (one
-    row each) against ``complex_`` for the harmonic flows ``h``, from one
-    least-squares solve (see ``rank_one_scores``)."""
-    boundaries = np.stack([cell.dense() for cell in candidates], axis=1)
-    bh = boundaries
-    if complex_.cell_count:
-        B2 = complex_.boundary_matrix(dtype=np.float64).tocsr()
-        bh = boundaries - B2 @ least_squares(B2, boundaries, tally).solution
-    norms = _column_norms(bh)
-    # ||b_h|| <= 1e-10 ||b||: b is (numerically) in the curl span already.
-    spanned = norms <= 1e-10 * _column_norms(boundaries)
-    bh = np.where(spanned, 0.0, bh)
-    weights = (bh.T @ h) / np.where(spanned, np.inf, norms**2)[:, None]
-    return bh, weights
-
-
-def rank_one_scores(complex_, flows_h, candidates, tally=None):
+def rank_one_scores(basis, flows_h, candidates):
     """Score every candidate cell by the exact loss of the complex with that
-    cell added, from one least-squares solve.
+    cell added, with no solve.
 
-    ``flows_h`` must be the exact harmonic flows of ``complex_``.  Adding a
-    boundary b moves h to ``h - b_h c`` with ``b_h = b - P_curl b`` and
-    ``c = b_h^T h / ||b_h||^2``, so one multi-right-hand-side solve against
-    the boundary matrix yields every b_h (counted as one call; the empty
-    complex needs none).  A candidate already in the curl span
-    (``||b_h|| ~ 0``) scores the unchanged loss and gets a zero direction.
+    ``basis`` is an orthonormal basis of the complex's curl span
+    (``curl_basis``, or one that ``RankOneScores.basis_after`` grew) and
+    ``flows_h`` the exact harmonic flows of that complex.  Adding a boundary
+    b moves h to ``h - b_h c`` with ``b_h = b - Q Q^T b``, formed twice for
+    orthogonality, and ``c = b_h^T h / ||b_h||^2``.  A candidate already in
+    the curl span (``||b_h|| <= 1e-10 ||b||``) scores the unchanged loss and
+    gets a zero direction.
     """
     flows_h = np.asarray(flows_h, dtype=np.float64)
     h = flows_h.reshape(flows_h.shape[0], -1)
-    bh, weights = _scoring_directions(complex_, h, candidates, tally)
+    boundaries = np.stack([cell.dense() for cell in candidates], axis=1)
+    bh = boundaries
+    for _ in range(2):
+        bh = bh - basis @ (basis.T @ bh)
+    bh, weights = _guarded_directions(boundaries, bh, h)
     # ||h - outer(b_h, c)|| through one reused buffer: the same elementwise
     # operations as the np.outer formula, without a temporary per candidate.
     residual = np.empty(h.shape)
@@ -317,16 +359,19 @@ def grown_harmonic(before, after, flows_h, tally=None):
     On an empty ``before`` this is the projection of ``flows_h`` against
     ``after``.  Otherwise only the new cells are solved for: one solve
     against ``before`` with a right-hand side per new cell gives their
-    scoring directions (as in ``rank_one_scores``, without the per-candidate
-    losses), and h loses its projection onto all of them at once (as in
+    scoring directions (b_h and c, under ``rank_one_scores``' guard), and h
+    loses its projection onto all of them at once (as in
     ``RankOneScores.harmonic_after``).
     """
     if not before.cell_count:
         return harmonic_projection(after, flows_h, tally)
     flows_h = np.asarray(flows_h, dtype=np.float64)
     new = after.cells[before.cell_count:]
-    directions, weights = _scoring_directions(
-        before, flows_h.reshape(flows_h.shape[0], -1), new, tally)
+    boundaries = np.stack([cell.dense() for cell in new], axis=1)
+    B2 = before.boundary_matrix(dtype=np.float64).tocsr()
+    bh = boundaries - B2 @ least_squares(B2, boundaries, tally).solution
+    directions, weights = _guarded_directions(
+        boundaries, bh, flows_h.reshape(flows_h.shape[0], -1))
     return _remove_directions(flows_h, directions, weights, list(range(len(new))))
 
 

@@ -4,9 +4,10 @@ with the baselines.
 Each iteration factors the current harmonic flows at low rank, discretizes
 the best l factor columns into simple cycles, adds l' of them, and updates
 the harmonic flows.  When l' < l the candidates are first scored by their
-exact post-addition loss (all of them from one rank-one solve,
-``hodge.rank_one_scores``), the winners are added, and the exact harmonic
-flows move by the winners' scoring directions, with no further solve.
+exact post-addition loss against an orthonormal basis of the curl span
+(``hodge.rank_one_scores``), the winners are added, and the exact harmonic
+flows and the basis move by the winners' scoring directions, with no
+solve.
 With l' = l all candidates are added, and the flows are re-projected
 exactly (one iterative solve) or updated by the cheap span-projection
 approximation (no iterative solve at all).  In approximate mode the
@@ -41,6 +42,7 @@ from .factorize import (
 from .hodge import (
     SolverTally,
     approx_harmonic_update,
+    curl_basis,
     grown_harmonic,
     harmonic_projection,
     make_timer,
@@ -252,29 +254,32 @@ def candidate_search(complex_, flows_h, cfg, rng):
     return list(candidates), fact
 
 
-def evaluate_and_select(complex_, flows_h, candidates, count, cfg, tally=None):
-    """Pick ``count`` cells from the candidates; returns ``(chosen, after)``.
+def evaluate_and_select(basis, flows_h, candidates, count, cfg):
+    """Pick ``count`` cells from the candidates; returns
+    ``(chosen, after, basis_after)``.
 
-    ``flows_h`` are the exact harmonic flows of ``complex_`` (on an empty
-    complex, the gradient-free flows).  With evaluation on
-    (``cfg.evaluate_candidates``, l' < l), each candidate
-    is scored by the exact loss of the complex with that single cell added,
-    all of them from one rank-one solve (``hodge.rank_one_scores``: one
-    counted solve, none on an empty complex), and the lowest losses win;
-    losses within 1e-9 of ||flows_h|| count as ties, which go to candidate
-    order.  ``after`` is then the exact harmonic flows of the complex with
-    all the chosen cells added, taken from the scoring directions without
-    a further solve.  With evaluation off the leading ``count`` candidates
-    pass through with zero solves and ``after`` is None.  Fewer candidates
-    than ``count`` simply all pass.
+    ``basis`` is an orthonormal basis of the current complex's curl span
+    (``hodge.curl_basis``) and ``flows_h`` its exact harmonic flows (on an
+    empty complex, the gradient-free flows).  With evaluation on
+    (``cfg.evaluate_candidates``, l' < l), each candidate is scored by the
+    exact loss of the complex with that single cell added, all of them
+    against the basis with no solve (``hodge.rank_one_scores``), and the
+    lowest losses win; losses within 1e-9 of ||flows_h|| count as ties,
+    which go to candidate order.  ``after`` and ``basis_after`` are then the
+    exact harmonic flows and the curl basis of the complex with all the
+    chosen cells added, both taken from the scoring directions.  With
+    evaluation off the leading ``count`` candidates pass through, ``after``
+    is None and the basis comes back as it went in.  Fewer candidates than
+    ``count`` simply all pass.
     """
     if not cfg.evaluate_candidates:
-        return list(candidates[:count]), None
+        return list(candidates[:count]), None, basis
     if not candidates:
-        return [], flows_h
-    scores = rank_one_scores(complex_, flows_h, candidates, tally)
+        return [], flows_h, basis
+    scores = rank_one_scores(basis, flows_h, candidates)
     picks = scores.best(count)
-    return [candidates[i] for i in picks], scores.harmonic_after(flows_h, picks)
+    return ([candidates[i] for i in picks], scores.harmonic_after(flows_h, picks),
+            scores.basis_after(basis, picks))
 
 
 def _flow_matrix(graph, flows):
@@ -308,8 +313,9 @@ def _greedy_loop(graph, flows, total_cells, timer, steps):
     least-squares solve per record, against that complex with one
     right-hand side per added cell, or a projection against the new complex
     when that one is empty.  It is neither timed nor counted; the
-    seconds and the solver counts cover everything else, gradient removal
-    and candidate scoring included.  A record whose counted solves
+    seconds cover everything else, candidate scoring included, and the
+    solver counts every other solve: gradient removal and MFCI-exact's
+    re-projection (scoring solves nothing).  A record whose counted solves
     (gradient removal for record 0) include one that ran out of iterations
     gets a "solver-nonconverged" note ahead of the step's own notes, and
     one whose reporting solve ran out of iterations a "report-nonconverged"
@@ -386,8 +392,10 @@ def infer_mfci(graph, flows, cfg, rng=None, timer=None):
     def steps(complex_, flows0, tally):
         # ``current`` is what the factorization sees; ``exact`` the exact
         # harmonic flows of the complex, or None where nothing tracks them
-        # (approximate projection without evaluation).
+        # (approximate projection without evaluation); ``basis`` the curl
+        # basis that evaluation scores against, None without evaluation.
         current = exact = flows0
+        basis = curl_basis(complex_) if cfg.evaluate_candidates else None
         while True:
             notes = []
             try:
@@ -401,7 +409,7 @@ def infer_mfci(graph, flows, cfg, rng=None, timer=None):
             wanted = min(cfg.added_per_iteration, cfg.total_cells - complex_.cell_count)
             # candidate_search has already dropped every candidate that
             # add_cells would drop, so ``added`` is ``chosen``.
-            chosen, exact = evaluate_and_select(complex_, exact, candidates, wanted, cfg, tally)
+            chosen, exact, basis = evaluate_and_select(basis, exact, candidates, wanted, cfg)
             complex_, added, _ = add_cells(complex_, chosen)
             if not added:
                 return

@@ -179,16 +179,15 @@ class TestInferSph:
         assert complex_.cell_count == 1 and trace.final.loss <= 1e-8
 
     def test_solver_call_accounting_single_candidate(self):
-        # 1 call at ingestion (gradient removal), none in iteration 1
-        # (scoring against an empty complex needs no solve), then 1 per
-        # iteration (the rank-one scoring solve; h follows the winner's
-        # rank-one update without a fresh projection)
+        # 1 call at ingestion (gradient removal) and none after it: scoring
+        # runs against the carried curl basis, and h follows the winner's
+        # rank-one update without a fresh projection
         cpx = random_complex(SynthConfig(10, 0.7, 4, 1, seed=3))
         rng = np.random.default_rng(0)
         flows = sample_flows(cpx, 4, 1.0, 0.2, rng)
         _, trace = infer_sph(cpx.graph, flows, SphConfig(total_cells=3, candidates_per_iteration=1))
         calls = [r.cumulative_solver_calls for r in trace.records]
-        assert calls == [1, 1, 2, 3]
+        assert calls == [1, 1, 1, 1]
 
     def test_scoring_nonconvergence_noted(self, monkeypatch):
         cpx = random_complex(SynthConfig(10, 0.7, 4, 1, seed=3))
@@ -199,12 +198,10 @@ class TestInferSph:
         monkeypatch.setattr(hodge, "least_squares",
                             functools.partial(hodge.least_squares, max_iterations=1))
         _, trace = infer_sph(cpx.graph, flows, cfg)
-        # one solver step does not finish gradient removal (record 0);
-        # iteration 1 scores against the empty complex (no solve) and
-        # iteration 2 against one cell (one solver step solves a rank-one
-        # system); from two cells on, one step runs out of budget
+        # one solver step does not finish gradient removal (record 0), and
+        # scoring solves nothing, so no later record can note it
         nc = ("solver-nonconverged",)
-        assert [r.notes for r in trace.records] == [nc, (), (), nc, nc]
+        assert [r.notes for r in trace.records] == [nc, (), (), (), ()]
 
     def test_losses_match_full_reprojection(self):
         cpx = random_complex(SynthConfig(12, 0.6, 5, 1, seed=13))

@@ -22,17 +22,27 @@ runs = [json.loads(line)[0] for line in log.read_text().splitlines()]
 value = json.loads((checkout / "values.json").read_text())[runs.count(checkout.name) - 1]
 print("workload stub")
 print(json.dumps({"environment": {"nproc": 2}, "runs": []}))
-print(json.dumps({"correct": True, "attempted": 4, "failed": 0, "metrics": {
+correct = not (checkout / "incorrect").exists()
+print(json.dumps({"correct": correct, "attempted": 4, "failed": 0, "metrics": {
     "fast_s": {"value": value, "unit": "s"}, "fast_loss": {"value": 1.5, "unit": "ratio"}}}))
 '''
 
 
-def stub_checkout(root, name, values):
+def stub_checkout(root, name, values, correct=True):
     checkout = root / name
     (checkout / "perfbench").mkdir(parents=True)
     (checkout / "perfbench" / "run.py").write_text(STUB)
     (checkout / "values.json").write_text(json.dumps(values))
+    if not correct:
+        (checkout / "incorrect").touch()
     return checkout
+
+
+def run_tool(tmp_path, parent, change, out):
+    return subprocess.run(
+        [sys.executable, str(TOOL), str(parent), str(change), "--workload", "small",
+         "--seed", "7", "--pairs", "4", "--claim", "fast_s", "--out", str(out)],
+        capture_output=True, text=True)
 
 
 @pytest.mark.parametrize("parent, change, passes", [
@@ -44,11 +54,8 @@ def stub_checkout(root, name, values):
 ])
 def test_pairs_report_and_rule(tmp_path, parent, change, passes):
     out = tmp_path / "report.json"
-    done = subprocess.run(
-        [sys.executable, str(TOOL), str(stub_checkout(tmp_path, "parent", parent)),
-         str(stub_checkout(tmp_path, "change", change)), "--workload", "small",
-         "--seed", "7", "--pairs", "4", "--claim", "fast_s", "--out", str(out)],
-        capture_output=True, text=True)
+    done = run_tool(tmp_path, stub_checkout(tmp_path, "parent", parent),
+                    stub_checkout(tmp_path, "change", change), out)
     assert done.returncode == (0 if passes else 1), done.stderr
     runs = [json.loads(line) for line in (tmp_path / "runs.log").read_text().splitlines()]
     assert [name for name, _ in runs] == ["parent", "change", "change", "parent"] * 2
@@ -67,3 +74,21 @@ def test_pairs_report_and_rule(tmp_path, parent, change, passes):
     assert all(pair["parent_failed"] == [0, 4] for pair in workload["pairs"])
     assert workload["summary"]["fast_loss"]["change_lower_in"] == "0/4"
     assert report["failed_calls"] == 0
+    assert all(pair["change_correct"] is True for pair in workload["pairs"])
+    assert report["incorrect_runs"] == 0
+
+
+def test_incorrect_run_fails_with_no_failed_call(tmp_path):
+    # the change wins every pair, but its runs report correct: false (as a
+    # run that stops producing a metric does) with 0 failed calls
+    out = tmp_path / "report.json"
+    done = run_tool(tmp_path, stub_checkout(tmp_path, "parent", [0.030, 0.031, 0.029, 0.030]),
+                    stub_checkout(tmp_path, "change", [0.020, 0.021, 0.022, 0.020],
+                                  correct=False), out)
+    assert done.returncode == 1, done.stderr
+    report = json.loads(out.read_text())
+    assert report["result"]["small.fast_s"]["passes"] is True
+    assert report["failed_calls"] == 0
+    assert report["incorrect_runs"] == 4
+    pairs = report["workloads"]["small"]["pairs"]
+    assert all(p["parent_correct"] is True and p["change_correct"] is False for p in pairs)

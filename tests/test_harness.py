@@ -167,6 +167,14 @@ class TestWriteTrace:
         with pytest.raises(ParseError, match="trace.csv:5:"):
             read_trace(path)
 
+    def test_non_numeric_field_names_its_line(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        write_trace(self.records(), path)
+        header, first, _ = path.read_text().splitlines()
+        path.write_text(f"{header}\n{first}\n0,0,abc,0,1,2\n")
+        with pytest.raises(ParseError, match="trace.csv:3: non-numeric field"):
+            read_trace(path)
+
 
 class TestRelativePerformance:
     def test_direct_arithmetic(self):

@@ -15,9 +15,11 @@ from cellflow.complexes import (
     validate_cycle,
 )
 from cellflow.factorize import Factorization
+from cellflow import hodge
 from cellflow.hodge import (
     SolverTally,
     approx_harmonic_update,
+    curl_basis,
     grown_harmonic,
     harmonic_projection,
     hodge_decompose,
@@ -351,9 +353,11 @@ def k4_square_and_triangles():
 
 def assert_scores_match_reprojection(complex_, flows0, candidates, picks=()):
     """Every score, and the flows after adding ``picks`` together, equal a
-    full re-projection of the grown complex."""
+    full re-projection of the grown complex, and the basis after the picks
+    spans the grown complex's curl space."""
     h = harmonic_projection(complex_, flows0)
-    scores = rank_one_scores(complex_, h, candidates)
+    basis = curl_basis(complex_)
+    scores = rank_one_scores(basis, h, candidates)
     assert np.isfinite(scores.losses).all() and np.isfinite(scores.weights).all()
     for cell, score in zip(candidates, scores.losses):
         expected = loss(add_cells(complex_, [cell])[0], flows0)
@@ -362,25 +366,63 @@ def assert_scores_match_reprojection(complex_, flows0, candidates, picks=()):
         grown = add_cells(complex_, [candidates[i] for i in picks])[0]
         error = np.linalg.norm(scores.harmonic_after(h, picks) - harmonic_projection(grown, flows0))
         assert error <= 1e-8 * np.linalg.norm(flows0)
+        assert_same_projector(scores.basis_after(basis, picks), curl_basis(grown))
     return scores
 
 
+def assert_same_projector(Q, expected):
+    assert Q.shape == expected.shape
+    assert np.linalg.norm(Q.T @ Q - np.eye(Q.shape[1])) <= 1e-12
+    assert np.linalg.norm(Q @ Q.T - expected @ expected.T) <= 1e-12
+
+
+class TestCurlBasis:
+    def test_cells_in_the_span_of_earlier_ones_add_no_column(self):
+        g, tri1, tri2, square = k4_square_and_triangles()
+        cpx = CellComplex(g, [square, tri1, tri2])
+        Q = curl_basis(cpx)
+        assert Q.shape == (6, 2)
+        assert np.linalg.norm(Q.T @ Q - np.eye(2)) <= 1e-12
+        F = remove_gradient(g, np.random.default_rng(8).standard_normal((6, 4)))
+        assert np.allclose(F - Q @ (Q.T @ F), harmonic_projection(cpx, F), rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_basis_after_chain_matches_curl_basis(self, batch):
+        planted = random_complex(SynthConfig(16, 0.6, 9, 1, seed=14))
+        h = remove_gradient(planted.graph, np.random.default_rng(7).standard_normal(
+            (planted.graph.edge_count, 4)))
+        cells = list(planted.cells)
+        basis = curl_basis(CellComplex(planted.graph))
+        for start in range(0, len(cells), batch):
+            batch_cells = cells[start:start + batch]
+            scores = rank_one_scores(basis, h, batch_cells)
+            picks = list(range(len(batch_cells)))
+            basis, h = scores.basis_after(basis, picks), scores.harmonic_after(h, picks)
+        assert_same_projector(basis, curl_basis(planted))
+
+
+def forbidden_solve(*args, **kwargs):
+    raise AssertionError("scoring ran a least-squares solve")
+
+
 class TestRankOneScores:
-    def test_empty_complex_runs_no_solve(self):
+    def test_empty_complex_runs_no_solve(self, monkeypatch):
         g, tri1, _, square = k4_square_and_triangles()
-        tally = SolverTally()
-        scores = rank_one_scores(CellComplex(g), tri1.dense(), [tri1, square], tally=tally)
-        assert tally.calls == 0
+        basis = curl_basis(CellComplex(g))
+        assert basis.shape == (6, 0)
+        monkeypatch.setattr(hodge, "least_squares", forbidden_solve)
+        scores = rank_one_scores(basis, tri1.dense(), [tri1, square])
         assert scores.losses[0] == pytest.approx(0.0, abs=1e-12)
         assert np.array_equal(scores.directions[:, 1], square.dense())
 
-    def test_one_counted_solve_for_all_candidates(self):
+    def test_scoring_runs_no_solve(self, monkeypatch):
         g, tri1, tri2, square = k4_square_and_triangles()
-        tally = SolverTally()
         F = np.random.default_rng(3).standard_normal((6, 4))
         cpx = CellComplex(g, [tri1])
-        rank_one_scores(cpx, harmonic_projection(cpx, F), [tri2, square], tally=tally)
-        assert tally.calls == 1
+        h, basis = harmonic_projection(cpx, F), curl_basis(cpx)
+        monkeypatch.setattr(hodge, "least_squares", forbidden_solve)
+        scores = rank_one_scores(basis, h, [tri2, square])
+        assert scores.basis_after(basis, [0, 1]).shape == (6, 2)
 
     def test_candidate_in_curl_span_scores_unchanged_loss(self):
         # the square is tri1 + tri2, both already in the complex
@@ -396,7 +438,7 @@ class TestRankOneScores:
         g, tri1, tri2, square = k4_square_and_triangles()
         cpx = CellComplex(g, [tri1])
         F = remove_gradient(g, np.random.default_rng(6).standard_normal((6, 3)))
-        scores = rank_one_scores(cpx, harmonic_projection(cpx, F), [tri2, square])
+        scores = rank_one_scores(curl_basis(cpx), harmonic_projection(cpx, F), [tri2, square])
         after = scores.harmonic_after(harmonic_projection(cpx, F), [1])
         assert np.allclose(after, harmonic_projection(CellComplex(g, [tri1, square]), F),
                            atol=1e-10)
@@ -418,7 +460,7 @@ class TestRankOneScores:
     def test_losses_equal_the_outer_formula(self, s):
         # Losses through the reused buffer are == one np.outer per candidate.
         before, h, candidates = self.planted_prefix_and_rest(s)
-        scores = rank_one_scores(before, h, candidates)
+        scores = rank_one_scores(curl_basis(before), h, candidates)
         h2 = h.reshape(h.shape[0], -1)
         expected = [np.linalg.norm(h2 - np.outer(scores.directions[:, i], scores.weights[i]))
                     for i in range(len(candidates))]
@@ -430,8 +472,10 @@ class TestRankOneScores:
         after = add_cells(before, candidates[:added])[0]
         tally = SolverTally()
         grown = grown_harmonic(before, after, h, tally)
-        scores = rank_one_scores(before, h, candidates[:added])
-        assert np.array_equal(grown, scores.harmonic_after(h, list(range(added))))
+        scores = rank_one_scores(curl_basis(before), h, candidates[:added])
+        # the solve and the basis are two routes to the same b_h
+        error = np.linalg.norm(grown - scores.harmonic_after(h, list(range(added))))
+        assert error <= 1e-12 * np.linalg.norm(h)
         assert tally.calls == 1
 
 

@@ -16,7 +16,7 @@ from cellflow.complexes import (
     validate_cycle,
 )
 from cellflow.hodge import (
-    SolverTally,
+    curl_basis,
     harmonic_projection,
     rank_one_scores,
     remove_gradient,
@@ -241,10 +241,12 @@ class TestEvaluateAndSelect:
         g = t3()
         triangle = validate_cycle(g, [0, 1, 2, 0])
         cfg = InferenceConfig(total_cells=1, candidates_per_iteration=2, added_per_iteration=1)
-        chosen, after = evaluate_and_select(CellComplex(g), np.array([1.0, 1.0, -1.0]),
-                                            [triangle], 1, cfg)
+        chosen, after, basis = evaluate_and_select(curl_basis(CellComplex(g)),
+                                                   np.array([1.0, 1.0, -1.0]), [triangle], 1, cfg)
         assert chosen == [triangle]
         assert after == pytest.approx(np.zeros(3), abs=1e-12)
+        Q = curl_basis(CellComplex(g, [triangle]))
+        assert np.allclose(basis @ basis.T, Q @ Q.T, atol=1e-12)
 
     def test_k4_brute_force_agreement(self):
         # derived: evaluate all four K4 triangles by the dense oracle
@@ -259,17 +261,18 @@ class TestEvaluateAndSelect:
             oracle_losses.append(np.linalg.norm(F - P @ F))
         assert int(np.argmin(oracle_losses)) == 0 and min(oracle_losses) < 1e-12
         cfg = InferenceConfig(total_cells=1, candidates_per_iteration=4, added_per_iteration=1)
-        chosen, _ = evaluate_and_select(CellComplex(g), F, triangles, 1, cfg)
+        chosen, _, _ = evaluate_and_select(curl_basis(CellComplex(g)), F, triangles, 1, cfg)
         assert chosen == [triangles[0]]
 
-    def test_skip_evaluation_runs_no_solves(self):
+    def test_skip_evaluation_runs_no_solves(self, monkeypatch):
         g = k4()
         F = validate_cycle(g, [0, 1, 2, 0]).dense()
         cells = [validate_cycle(g, [0, 1, 2, 0]), validate_cycle(g, [0, 1, 3, 0])]
         cfg = InferenceConfig(total_cells=2, candidates_per_iteration=2, added_per_iteration=2)
-        tally = SolverTally()
-        chosen, after = evaluate_and_select(CellComplex(g), F, cells, 2, cfg, tally)
-        assert chosen == cells and after is None and tally.calls == 0
+        solves = []
+        monkeypatch.setattr(hodge, "least_squares", lambda *a, **k: solves.append(a))
+        chosen, after, basis = evaluate_and_select(None, F, cells, 2, cfg)
+        assert chosen == cells and after is None and basis is None and solves == []
 
     def test_ties_go_to_candidate_order(self):
         # the square is tri1 + tri2 and tri1 is in the complex, so adding the
@@ -282,9 +285,10 @@ class TestEvaluateAndSelect:
         F = remove_gradient(g, np.random.default_rng(0).standard_normal((6, 3)))
         H = harmonic_projection(cpx, F)
         cfg = InferenceConfig(total_cells=2, candidates_per_iteration=2, added_per_iteration=1)
-        assert evaluate_and_select(cpx, H, [tri2, square], 1, cfg)[0] == [tri2]
-        assert evaluate_and_select(cpx, H, [square, tri2], 1, cfg)[0] == [square]
-        assert evaluate_and_select(cpx, H, [tri1, square, tri2], 2, cfg)[0] == [square, tri2]
+        Q = curl_basis(cpx)
+        assert evaluate_and_select(Q, H, [tri2, square], 1, cfg)[0] == [tri2]
+        assert evaluate_and_select(Q, H, [square, tri2], 1, cfg)[0] == [square]
+        assert evaluate_and_select(Q, H, [tri1, square, tri2], 2, cfg)[0] == [square, tri2]
 
     def test_exact_fit_ties_go_to_candidate_order(self):
         # flows along tri2 with tri1 in the complex: tri2 and the square
@@ -297,15 +301,16 @@ class TestEvaluateAndSelect:
         F = np.outer(tri2.dense(), np.random.default_rng(1).standard_normal(1))
         H = harmonic_projection(cpx, F)
         cfg = InferenceConfig(total_cells=2, candidates_per_iteration=2, added_per_iteration=1)
-        assert rank_one_scores(cpx, H, [tri2, square]).best(1) == [0]
-        assert evaluate_and_select(cpx, H, [tri2, square], 1, cfg)[0] == [tri2]
-        assert evaluate_and_select(cpx, H, [square, tri2], 1, cfg)[0] == [square]
+        Q = curl_basis(cpx)
+        assert rank_one_scores(Q, H, [tri2, square]).best(1) == [0]
+        assert evaluate_and_select(Q, H, [tri2, square], 1, cfg)[0] == [tri2]
+        assert evaluate_and_select(Q, H, [square, tri2], 1, cfg)[0] == [square]
 
     def test_shortfall_returns_all(self):
         g = t3()
         triangle = validate_cycle(g, [0, 1, 2, 0])
         cfg = InferenceConfig(total_cells=3, candidates_per_iteration=3, added_per_iteration=3)
-        chosen, _ = evaluate_and_select(CellComplex(g), triangle.dense(), [triangle], 3, cfg)
+        chosen, _, _ = evaluate_and_select(None, triangle.dense(), [triangle], 3, cfg)
         assert chosen == [triangle]
 
 
@@ -362,13 +367,13 @@ class TestInferMfci:
         assert all(r.cumulative_solver_calls == 1 for r in trace.records)
         assert complex_.cell_count >= 1
 
-    # gradient removal, then no solve in iteration 1 (scoring against the
-    # empty complex needs none), then one scoring solve per iteration: the
-    # exact harmonic flows follow the winners' scoring directions in both
-    # projections, so neither re-projects nor recomputes for the report
+    # gradient removal and nothing after it: scoring runs against the
+    # carried curl basis, and the exact harmonic flows follow the winners'
+    # scoring directions in both projections, so neither re-projects nor
+    # recomputes for the report
     @pytest.mark.parametrize("projection, expected", [
-        ("exact", [1, 1, 2, 3, 4, 5]),
-        ("approximate", [1, 1, 2, 3, 4, 5]),
+        ("exact", [1, 1, 1, 1, 1, 1]),
+        ("approximate", [1, 1, 1, 1, 1, 1]),
     ])
     def test_best_one_of_l_solver_accounting(self, projection, expected):
         cpx = random_complex(SynthConfig(12, 0.7, 6, 1, seed=37))
@@ -389,11 +394,10 @@ class TestInferMfci:
         monkeypatch.setattr(hodge, "least_squares",
                             functools.partial(hodge.least_squares, max_iterations=1))
         _, trace = infer_mfci(cpx.graph, flows, cfg)
-        # one solver step does not finish gradient removal (record 0); scoring
-        # needs no solve on the empty complex, and one solver step solves the
-        # rank-one system of a one-cell complex
+        # one solver step does not finish gradient removal (record 0), and
+        # scoring solves nothing, so no later record can note it
         nc = ("solver-nonconverged",)
-        assert [r.notes for r in trace.records] == [nc, (), (), nc, nc, nc]
+        assert [r.notes for r in trace.records] == [nc, (), (), (), (), ()]
 
     def test_reprojection_nonconvergence_noted(self, monkeypatch):
         cpx = random_complex(SynthConfig(12, 0.7, 6, 1, seed=37))
@@ -435,8 +439,8 @@ class TestInferMfci:
         solve = hodge.least_squares
         monkeypatch.setattr(hodge, "least_squares", lambda *a, **k: seen.append(1) or solve(*a, **k))
         _, trace = infer_mfci(cpx.graph, flows, cfg, np.random.default_rng([0, 1]))
-        # gradient removal plus one scoring solve per iteration after the first
-        assert len(seen) == trace.final.cumulative_solver_calls == 30
+        # gradient removal, and neither scoring nor the report solves
+        assert len(seen) == trace.final.cumulative_solver_calls == 1
 
     def test_budget_never_overshot(self):
         cpx = random_complex(SynthConfig(12, 0.7, 6, 1, seed=41))
@@ -614,6 +618,40 @@ class TestReportingRecompute:
                    for r, n in zip(records[1:], noted) if n)
         assert all((r.cumulative_solver_calls, r.cumulative_solver_iterations)
                    == (1, records[0].cumulative_solver_iterations) for r in records)
+
+
+# The two loops that score candidates against the carried curl basis: SPH
+# and best-1-of-8 MFCI.
+SCORED = {
+    "sph": lambda g, F: infer_sph(g, F, SphConfig(total_cells=10)),
+    "best1of8": lambda g, F: infer_mfci(g, F, InferenceConfig(
+        total_cells=10, candidates_per_iteration=8, added_per_iteration=1)),
+}
+
+
+class TestCarriedCurlBasis:
+    def instance(self):
+        cpx = random_complex(SynthConfig(20, 0.5, 10, 1, seed=61))
+        return cpx.graph, sample_flows(cpx, 16, 1.0, 0.3, np.random.default_rng(23))
+
+    @pytest.mark.parametrize("name", sorted(SCORED))
+    def test_only_gradient_removal_solves(self, name, monkeypatch):
+        graph, flows = self.instance()
+        seen = []
+        solve = hodge.least_squares
+        monkeypatch.setattr(hodge, "least_squares",
+                            lambda *a, **k: seen.append(1) or solve(*a, **k))
+        _, trace = SCORED[name](graph, flows)
+        assert trace.final.cells_total == 10
+        assert len(seen) == 1
+        assert all(r.cumulative_solver_calls == 1 for r in trace.records)
+
+    @pytest.mark.parametrize("name", sorted(SCORED))
+    def test_losses_match_prefix_reprojection(self, name):
+        graph, flows = self.instance()
+        _, trace = SCORED[name](graph, flows)
+        assert trace.final.cells_total == 10
+        assert_losses_match_prefix_reprojection(graph, flows, trace)
 
 
 @st.composite

@@ -12,13 +12,16 @@ each of them, the parent first when i is even and the change first when i
 is odd, so that neither side always runs first.
 
 The report (JSON, written to ``--out``) holds every pair's end-to-end
-metrics and ``[failed, attempted]`` counts, and per metric each side's
+metrics, ``[failed, attempted]`` counts and ``correct`` flags, and per
+metric each side's
 quartiles ``[q1, median, q3]`` and the number of pairs in which the change
 was lower.  The claimed metric, which must be one where lower is better (as
 every end-to-end metric of ``BENCHMARK.json`` is), passes when the change
 is lower in at least 9 of every 10 pairs and the gap between the medians is
 larger than the parent's interquartile range.  The exit status is 0 when
-the claim passes and no run failed a call, 1 otherwise.  Stdlib only.
+the claim passes, no run failed a call and every run reports ``correct``
+(a run that stops producing a metric fails no call but is not correct),
+1 otherwise.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -108,6 +111,7 @@ def main(argv=None):
             environment, result = run_once(checkouts[side], args.workload, args.seed)
             pair[side] = {name: entry["value"] for name, entry in result["metrics"].items()}
             pair[f"{side}_failed"] = [result["failed"], result["attempted"]]
+            pair[f"{side}_correct"] = result["correct"]
         if args.claim not in pair["parent"] or args.claim not in pair["change"]:
             sys.exit(f"error: no end-to-end metric {args.claim!r} on both sides")
         pairs.append(pair)
@@ -118,6 +122,7 @@ def main(argv=None):
                for name in pairs[0]["parent"] if name in pairs[0]["change"]}
     verdict = judge(pairs, args.claim)
     failed = sum(p[f"{side}_failed"][0] for p in pairs for side in SIDES)
+    incorrect = sum(not p[f"{side}_correct"] for p in pairs for side in SIDES)
     report = {
         "claim": f"{args.workload}.{args.claim}",
         "command": f"python3 perfbench/run.py --workload {args.workload} "
@@ -131,6 +136,7 @@ def main(argv=None):
         "environment": environment,
         "result": {f"{args.workload}.{args.claim}": verdict},
         "failed_calls": failed,
+        "incorrect_runs": incorrect,
         "workloads": {args.workload: {"summary": summary, "pairs": pairs}},
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n")
@@ -138,8 +144,9 @@ def main(argv=None):
           f"{verdict['change_q1_median_q3']}, lower in {verdict['change_lower_in']}, "
           f"median gap {verdict['median_gap']:.4g} against parent spread "
           f"{verdict['parent_quartile_spread']:.4g}: "
-          f"{'passes' if verdict['passes'] else 'fails'}; {failed} failed calls")
-    return 0 if verdict["passes"] and not failed else 1
+          f"{'passes' if verdict['passes'] else 'fails'}; {failed} failed calls, "
+          f"{incorrect} incorrect runs")
+    return 0 if verdict["passes"] and not failed and not incorrect else 1
 
 
 if __name__ == "__main__":
