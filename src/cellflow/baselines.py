@@ -74,7 +74,7 @@ def infer_sph(graph, flows, cfg, rng=None, timer=None):
     """
     del rng
 
-    def steps(complex_, flows0, tally):
+    def steps(complex_, flows0):
         current, basis = flows0, curl_basis(complex_)
         while True:
             candidates = [c for c in sph_candidates(complex_, current, cfg.candidates_per_iteration)
@@ -97,13 +97,14 @@ def infer_random(graph, flows, total_cells, rng, timer=None):
 
     Duplicate draws are resampled up to 100 times; once a cell cannot be
     drawn fresh the run stops short.  The exact loss recorded per iteration
-    is reporting only: ``_greedy_loop`` carries the exact harmonic flows
-    and moves them by the cell just added, with one least-squares solve per
-    record that is neither counted as a solver call nor timed.
+    is reporting only: once the clock has stopped, ``_greedy_loop`` carries
+    the exact harmonic flows from record to record and moves them by the
+    cell each one added, with one least-squares solve per record that is
+    neither counted as a solver call nor timed.
     """
     if total_cells < 1:
         raise ValueError("total_cells must be >= 1")
-    def steps(complex_, flows0, tally):
+    def steps(complex_, flows0):
         while True:
             for _ in range(100):
                 cell = random_tree_cell(graph, rng)

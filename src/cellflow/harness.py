@@ -23,8 +23,7 @@ from . import fileio
 from .baselines import SphConfig, infer_random, infer_sph
 from .complexes import CellComplex, InvalidCell
 from .fileio import InvariantViolation, ParseError
-from .hodge import make_timer
-from .mfci import InferenceConfig, infer_mfci
+from .mfci import InferenceConfig, infer_mfci, make_timer
 from .synth import SynthConfig, random_complex, reference_loss, sample_flows, save_dataset
 
 
@@ -66,6 +65,8 @@ class ExperimentConfig:
             raise ValueError("at least one repetition seed is required")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError("repetition seeds must be distinct")
+        if min(self.seeds) < 0:
+            raise ValueError(f"run.seeds must be non-negative, got {min(self.seeds)}")
         needed = {"mfci": self.mfci, "sph": self.sph, "random": self.random_cells}[self.algo]
         if needed is None:
             raise ValueError(f"missing configuration for algorithm {self.algo!r}")
@@ -291,6 +292,14 @@ def _as_seeds(text):
     return seeds
 
 
+def _given(raw, fields):
+    """Keyword arguments for the optional ``fields`` (config key ->
+    (field name, cast)) that ``raw`` sets to a non-empty value, so the
+    config dataclass's own defaults apply to the rest."""
+    return {name: _opt(raw, key, cast) for key, (name, cast) in fields.items()
+            if raw.get(key, "") != ""}
+
+
 def synth_from_raw(raw):
     if "synth.nodes" not in raw:
         return None
@@ -299,9 +308,9 @@ def synth_from_raw(raw):
         edge_probability=_need(raw, "synth.edge_probability", float),
         planted_cells=_need(raw, "synth.cells", int),
         flow_count=_need(raw, "synth.flows", int),
-        cell_std=_opt(raw, "synth.cell_std", float, 1.0),
-        noise_std=_opt(raw, "synth.noise_std", float, 0.0),
-        seed=_opt(raw, "synth.seed", int, None),
+        **_given(raw, {"synth.cell_std": ("cell_std", float),
+                       "synth.noise_std": ("noise_std", float),
+                       "synth.seed": ("seed", int)}),
     )
 
 
@@ -321,12 +330,12 @@ def mfci_from_raw(raw):
         return None
     return InferenceConfig(
         total_cells=_need(raw, "mfci.total_cells", int),
-        candidates_per_iteration=_opt(raw, "mfci.candidates", int, 1),
-        added_per_iteration=_opt(raw, "mfci.added", int, 1),
-        factorization_rank=_opt(raw, "mfci.rank", int, None),
-        method=_opt(raw, "mfci.method", str, "svd"),
-        discretization=_opt(raw, "mfci.discretization", str, "deterministic"),
-        projection=_opt(raw, "mfci.projection", str, "exact"),
+        **_given(raw, {"mfci.candidates": ("candidates_per_iteration", int),
+                       "mfci.added": ("added_per_iteration", int),
+                       "mfci.rank": ("factorization_rank", int),
+                       "mfci.method": ("method", str),
+                       "mfci.discretization": ("discretization", str),
+                       "mfci.projection": ("projection", str)}),
     )
 
 
@@ -335,7 +344,7 @@ def sph_from_raw(raw):
         return None
     return SphConfig(
         total_cells=_need(raw, "sph.total_cells", int),
-        candidates_per_iteration=_opt(raw, "sph.candidates", int, 11),
+        **_given(raw, {"sph.candidates": ("candidates_per_iteration", int)}),
     )
 
 

@@ -3,24 +3,25 @@ with the baselines.
 
 Each iteration factors the current harmonic flows at low rank, discretizes
 the best l factor columns into simple cycles, adds l' of them, and updates
-the harmonic flows.  When l' < l the candidates are first scored by their
-exact post-addition loss against an orthonormal basis of the curl span
-(``hodge.rank_one_scores``), the winners are added, and the exact harmonic
-flows and the basis move by the winners' scoring directions, with no
-solve.
-With l' = l all candidates are added, and the flows are re-projected
-exactly (one iterative solve) or updated by the cheap span-projection
-approximation (no iterative solve at all).  In approximate mode the
-factorization always sees the approximate flows.
+the harmonic flows.  Wherever the exact harmonic flows are tracked (l' < l,
+or exact projection) they move, together with an orthonormal basis of the
+curl span, by the added cells' scoring directions
+(``hodge.rank_one_scores``), with no solve: when l' < l the candidates are
+first scored by their exact post-addition loss and the winners are added;
+with l' = l all candidates are added.  Approximate projection with l' = l
+tracks no exact flows and updates the flows the factorization sees by the
+cheap span-projection approximation.
 
 ``_greedy_loop`` owns what MFCI, SPH and the random baseline have in
-common: flow shaping, gradient removal, solver accounting, the clock, the
-cell budget and the trace.  Each ``infer_*`` supplies only its step.
-Deterministic discretization and SPH share ``complexes.heaviest_tree_cycles``.
+common: flow shaping, gradient removal (the one solve of a run), the
+clock, the cell budget and the trace.  Each ``infer_*`` supplies only its
+step.  Deterministic discretization and SPH share
+``complexes.heaviest_tree_cycles``.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +45,6 @@ from .hodge import (
     approx_harmonic_update,
     curl_basis,
     grown_harmonic,
-    harmonic_projection,
-    make_timer,
     rank_one_scores,
     remove_gradient,
 )
@@ -260,24 +259,27 @@ def evaluate_and_select(basis, flows_h, candidates, count, cfg):
 
     ``basis`` is an orthonormal basis of the current complex's curl span
     (``hodge.curl_basis``) and ``flows_h`` its exact harmonic flows (on an
-    empty complex, the gradient-free flows).  With evaluation on
+    empty complex, the gradient-free flows); with evaluation off the basis
+    may be None, where the caller tracks neither.  With evaluation on
     (``cfg.evaluate_candidates``, l' < l), each candidate is scored by the
     exact loss of the complex with that single cell added, all of them
     against the basis with no solve (``hodge.rank_one_scores``), and the
     lowest losses win; losses within 1e-9 of ||flows_h|| count as ties,
-    which go to candidate order.  ``after`` and ``basis_after`` are then the
-    exact harmonic flows and the curl basis of the complex with all the
-    chosen cells added, both taken from the scoring directions.  With
-    evaluation off the leading ``count`` candidates pass through, ``after``
-    is None and the basis comes back as it went in.  Fewer candidates than
-    ``count`` simply all pass.
+    which go to candidate order.  With evaluation off the leading ``count``
+    candidates are the picks.  Given a basis, ``after`` and ``basis_after``
+    are the exact harmonic flows and the curl basis of the complex with all
+    the chosen cells added, both taken from the picks' scoring directions;
+    without one they are None.  Fewer candidates than ``count`` simply all
+    pass.
     """
-    if not cfg.evaluate_candidates:
-        return list(candidates[:count]), None, basis
+    if basis is None and not cfg.evaluate_candidates:
+        return list(candidates[:count]), None, None
     if not candidates:
         return [], flows_h, basis
+    if not cfg.evaluate_candidates:
+        candidates = candidates[:count]
     scores = rank_one_scores(basis, flows_h, candidates)
-    picks = scores.best(count)
+    picks = scores.best(count) if cfg.evaluate_candidates else list(range(len(candidates)))
     return ([candidates[i] for i in picks], scores.harmonic_after(flows_h, picks),
             scores.basis_after(basis, picks))
 
@@ -292,34 +294,38 @@ def _flow_matrix(graph, flows):
     return flows
 
 
+def make_timer(enabled=True):
+    """Wall-clock timer for the greedy loop; disabled -> always 0.0, which
+    makes trace files byte-reproducible."""
+    return time.perf_counter if enabled else (lambda: 0.0)
+
+
 def _greedy_loop(graph, flows, total_cells, timer, steps):
     """The greedy loop of MFCI, SPH and the random baseline.
 
     A graph without a cycle raises ``GraphIsForest`` before any solve.
-    The gradient is removed once (one counted solve) and the start is
-    recorded as iteration 0.  ``steps(complex_, flows0, tally)`` is a
+    The gradient is removed once, by the run's one counted solve, and the
+    start is recorded as iteration 0.  ``steps(complex_, flows0)`` is a
     generator that grows the complex through ``add_cells``, yields
     ``(complex_, added, loss, notes)`` per iteration and returns to stop
     early.  It is resumed only while the complex holds fewer than
     ``total_cells`` cells, so each step must fit the remaining budget.
+    Steps solve nothing, so the solver counts of every record are gradient
+    removal's, and only record 0 can carry a "solver-nonconverged" note.
 
     Trace policy: ``loss`` is the exact loss after the iteration, as the step
-    yields it (||h|| of the exact harmonic flows that SPH and evaluated
-    MFCI carry by their picks' scoring directions, or of MFCI-exact's
-    re-projection) or, where it yields None (MFCI-approximate without
-    evaluation, random), from a reporting recompute.  The recompute
-    carries the exact harmonic flows of the last reported complex and
-    solves only for the cells added since (``hodge.grown_harmonic``): one
-    least-squares solve per record, against that complex with one
-    right-hand side per added cell, or a projection against the new complex
-    when that one is empty.  It is neither timed nor counted; the
-    seconds cover everything else, candidate scoring included, and the
-    solver counts every other solve: gradient removal and MFCI-exact's
-    re-projection (scoring solves nothing).  A record whose counted solves
-    (gradient removal for record 0) include one that ran out of iterations
-    gets a "solver-nonconverged" note ahead of the step's own notes, and
-    one whose reporting solve ran out of iterations a "report-nonconverged"
-    note after them.  Returns ``(complex, trace)``.
+    yields it (||h|| of the exact harmonic flows that SPH and MFCI carry
+    by the added cells' scoring directions) or, where it yields None
+    (MFCI-approximate without evaluation, random), from a reporting
+    recompute.  The clock stops with the last step, and the recompute runs
+    after it, so it is neither timed nor counted: it carries the exact
+    harmonic flows of the last reported complex and solves only for the
+    cells added since (``hodge.grown_harmonic``), one least-squares solve
+    per such record, against that complex with one right-hand side per
+    added cell, or a projection against the new complex when that one is
+    empty.  A record whose reporting solve ran out of iterations gets a
+    "report-nonconverged" note after the step's own notes.  Returns
+    ``(complex, trace)``.
     """
     flows = _flow_matrix(graph, flows)
     if next(kruskal(graph, range(graph.edge_count), set()), None) is None:
@@ -329,40 +335,33 @@ def _greedy_loop(graph, flows, total_cells, timer, steps):
 
     tally = SolverTally()
     t0 = timer()
-    excluded = 0.0
     flows0 = remove_gradient(graph, flows, tally)
     complex_ = CellComplex(graph)
-    solver_note = ("solver-nonconverged",)
-    records = [IterationRecord(0, (), 0, float(np.linalg.norm(flows0)), timer() - t0,
-                               tally.calls, tally.iterations,
-                               solver_note if tally.nonconverged else ())]
-    # The exact harmonic flows of the complex ``reported_at``, carried
-    # from one reporting recompute to the next.
-    reported, reported_at = flows0, complex_
-    iterations = steps(complex_, flows0, tally)
-    iteration = 0
+    start_notes = ("solver-nonconverged",) if tally.nonconverged else ()
+    # (complex, added, loss or None, notes, seconds) per record, timed
+    timed = [(complex_, (), float(np.linalg.norm(flows0)), start_notes, timer() - t0)]
+    iterations = steps(complex_, flows0)
     while complex_.cell_count < total_cells:
-        nonconverged = tally.nonconverged
         step = next(iterations, None)
         if step is None:
             break
-        iteration += 1
-        complex_, added, exact_loss, notes = step
-        notes = tuple(notes)
-        if tally.nonconverged > nonconverged:
-            notes = solver_note + notes
-        if exact_loss is None:
-            mark = timer()
+        complex_, added, loss, notes = step
+        timed.append((complex_, added, loss, tuple(notes), timer() - t0))
+
+    # The exact harmonic flows of the complex ``reported_at``, carried
+    # from one reporting recompute to the next.
+    reported, reported_at = flows0, timed[0][0]
+    records = []
+    for iteration, (after, added, loss, notes, seconds) in enumerate(timed):
+        if loss is None:
             report = SolverTally()
-            reported = grown_harmonic(reported_at, complex_, reported, report)
-            reported_at = complex_
-            exact_loss = float(np.linalg.norm(reported))
+            reported = grown_harmonic(reported_at, after, reported, report)
+            reported_at = after
+            loss = float(np.linalg.norm(reported))
             if report.nonconverged:
                 notes += ("report-nonconverged",)
-            excluded += timer() - mark
-        records.append(IterationRecord(iteration, added, complex_.cell_count, exact_loss,
-                                       timer() - t0 - excluded, tally.calls,
-                                       tally.iterations, notes))
+        records.append(IterationRecord(iteration, added, after.cell_count, loss, seconds,
+                                       tally.calls, tally.iterations, notes))
     return complex_, InferenceTrace(tuple(records))
 
 
@@ -389,13 +388,14 @@ def infer_mfci(graph, flows, cfg, rng=None, timer=None):
     if rng is None:
         rng = np.random.default_rng(0)
 
-    def steps(complex_, flows0, tally):
+    def steps(complex_, flows0):
         # ``current`` is what the factorization sees; ``exact`` the exact
-        # harmonic flows of the complex, or None where nothing tracks them
-        # (approximate projection without evaluation); ``basis`` the curl
-        # basis that evaluation scores against, None without evaluation.
+        # harmonic flows of the complex and ``basis`` its curl basis, both
+        # None where nothing tracks them (approximate projection without
+        # evaluation).
         current = exact = flows0
-        basis = curl_basis(complex_) if cfg.evaluate_candidates else None
+        tracked = cfg.evaluate_candidates or cfg.projection == "exact"
+        basis = curl_basis(complex_) if tracked else None
         while True:
             notes = []
             try:
@@ -416,8 +416,6 @@ def infer_mfci(graph, flows, cfg, rng=None, timer=None):
             if len(added) < wanted:
                 notes.append("shortfall")
             if cfg.projection == "exact":
-                if exact is None:
-                    exact = harmonic_projection(complex_, flows0, tally)
                 current = exact
             else:
                 update = approx_harmonic_update(current, list(added), fact)

@@ -43,6 +43,8 @@ class SynthConfig:
             raise ValueError("flow_count must be >= 1")
         if self.cell_std < 0 or self.noise_std < 0:
             raise ValueError("standard deviations must be >= 0")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError(f"synth.seed must be non-negative, got {self.seed}")
 
     def as_mapping(self):
         return {

@@ -23,25 +23,33 @@ value = json.loads((checkout / "values.json").read_text())[runs.count(checkout.n
 print("workload stub")
 print(json.dumps({"environment": {"nproc": 2}, "runs": []}))
 correct = not (checkout / "incorrect").exists()
+loss = float((checkout / "loss").read_text())
 print(json.dumps({"correct": correct, "attempted": 4, "failed": 0, "metrics": {
-    "fast_s": {"value": value, "unit": "s"}, "fast_loss": {"value": 1.5, "unit": "ratio"}}}))
+    "fast_s": {"value": value, "unit": "s"}, "fast_loss": {"value": loss, "unit": "ratio"}}}))
 '''
 
+BENCHMARK = {"end_to_end": [
+    {"name": "fast_s", "unit": "s", "better": "lower", "bound": 0.25},
+    {"name": "fast_loss", "unit": "ratio", "better": "lower", "bound": 0.25},
+]}
 
-def stub_checkout(root, name, values, correct=True):
+
+def stub_checkout(root, name, values, correct=True, loss=1.5):
     checkout = root / name
     (checkout / "perfbench").mkdir(parents=True)
     (checkout / "perfbench" / "run.py").write_text(STUB)
     (checkout / "values.json").write_text(json.dumps(values))
+    (checkout / "loss").write_text(str(loss))
+    (checkout / "BENCHMARK.json").write_text(json.dumps(BENCHMARK))
     if not correct:
         (checkout / "incorrect").touch()
     return checkout
 
 
-def run_tool(tmp_path, parent, change, out):
+def run_tool(tmp_path, parent, change, out, claim=("--claim", "fast_s")):
     return subprocess.run(
         [sys.executable, str(TOOL), str(parent), str(change), "--workload", "small",
-         "--seed", "7", "--pairs", "4", "--claim", "fast_s", "--out", str(out)],
+         "--seed", "7", "--pairs", "4", *claim, "--out", str(out)],
         capture_output=True, text=True)
 
 
@@ -92,3 +100,24 @@ def test_incorrect_run_fails_with_no_failed_call(tmp_path):
     assert report["incorrect_runs"] == 4
     pairs = report["workloads"]["small"]["pairs"]
     assert all(p["parent_correct"] is True and p["change_correct"] is False for p in pairs)
+
+
+@pytest.mark.parametrize("claim", [("--claim", "fast_s"), ()], ids=["claim", "no-claim"])
+@pytest.mark.parametrize("change_loss, regressed", [(1.8, False), (1.9, True)])
+def test_regression_beyond_bound_fails(tmp_path, claim, change_loss, regressed):
+    # fast_s falls in every pair, so a claim on it passes; fast_loss rises
+    # from 1.5 to 1.8 (within its 25% bound) or to 1.9 (beyond it)
+    out = tmp_path / "report.json"
+    done = run_tool(tmp_path, stub_checkout(tmp_path, "parent", [0.030, 0.031, 0.029, 0.030]),
+                    stub_checkout(tmp_path, "change", [0.020, 0.021, 0.022, 0.020],
+                                  loss=change_loss), out, claim)
+    assert done.returncode == (1 if regressed else 0), done.stderr
+    report = json.loads(out.read_text())
+    assert report["result"] == ({"small.fast_s": report["result"]["small.fast_s"]}
+                                if claim else {})
+    assert all(verdict["passes"] for verdict in report["result"].values())
+    check = report["bounds"]["small.fast_loss"]
+    assert (check["parent_median"], check["change_median"]) == (1.5, change_loss)
+    assert check["limit"] == 1.875 and check["regressed"] is regressed
+    assert report["bounds"]["small.fast_s"]["regressed"] is False
+    assert report["regressed"] == (["small.fast_loss"] if regressed else [])

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cellflow import cli
+from cellflow import cli, harness
 from cellflow.baselines import SphConfig
 from cellflow.fileio import (
     InvariantViolation,
@@ -360,6 +360,35 @@ class TestCli:
         assert "algo=" not in captured.out
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("edit, flags", [
+        (("run.seeds = 1 2", "run.seeds = 0 -1"), []),
+        ((), ["--seed", "-1"]),
+    ], ids=["config", "flag"])
+    def test_negative_run_seed_rejected(self, tmp_path, capsys, edit, flags):
+        # seed 0 would run first and write its trace before -1 failed
+        synth_cfg, run_cfg = self.write_configs(tmp_path)
+        cli.main(["synth", "--config", str(synth_cfg), "--out", str(tmp_path / "data")])
+        run_cfg.write_text(run_cfg.read_text().replace("algo = mfci", "algo = random")
+                           .replace(*edit or ("", "")))
+        capsys.readouterr()
+        assert cli.main(["infer", "--config", str(run_cfg), *flags]) == 1
+        captured = capsys.readouterr()
+        assert "run.seeds must be non-negative" in captured.err
+        assert "algo=" not in captured.out
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("edit, flags", [
+        (("synth.seed = 11", "synth.seed = -1"), []),
+        ((), ["--seed", "-1"]),
+    ], ids=["config", "flag"])
+    def test_negative_synth_seed_rejected(self, tmp_path, capsys, edit, flags):
+        synth_cfg, _ = self.write_configs(tmp_path)
+        synth_cfg.write_text(synth_cfg.read_text().replace(*edit or ("", "")))
+        assert cli.main(["synth", "--config", str(synth_cfg),
+                         "--out", str(tmp_path / "data"), *flags]) == 1
+        assert "synth.seed must be non-negative" in capsys.readouterr().err
+        assert not (tmp_path / "data").exists()
+
     @pytest.mark.parametrize("edit", [
         ("bench.algos = mfci sph random", "bench.algos = mfci spH random"),
         ("sph.total_cells = 3\n", ""),
@@ -374,3 +403,17 @@ class TestCli:
         assert "bench: algo=" not in captured.out
         assert "sph" in captured.err
         assert not (tmp_path / "bench" / "bench.csv").exists()
+
+
+def test_unset_config_keys_take_the_dataclass_defaults():
+    raw = {"mfci.total_cells": "4", "sph.total_cells": "5", "synth.nodes": "8",
+           "synth.edge_probability": "0.5", "synth.cells": "2", "synth.flows": "3",
+           "synth.seed": ""}
+    assert harness.mfci_from_raw(raw) == InferenceConfig(total_cells=4)
+    assert harness.sph_from_raw(raw) == SphConfig(total_cells=5)
+    assert harness.synth_from_raw(raw) == SynthConfig(8, 0.5, 2, 3)
+    raw.update({"mfci.rank": "3", "mfci.candidates": "2", "sph.candidates": "4",
+                "synth.noise_std": "0.5"})
+    assert harness.mfci_from_raw(raw) == InferenceConfig(4, 2, factorization_rank=3)
+    assert harness.sph_from_raw(raw) == SphConfig(5, 4)
+    assert harness.synth_from_raw(raw) == SynthConfig(8, 0.5, 2, 3, noise_std=0.5)

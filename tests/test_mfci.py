@@ -306,6 +306,24 @@ class TestEvaluateAndSelect:
         assert evaluate_and_select(Q, H, [tri2, square], 1, cfg)[0] == [tri2]
         assert evaluate_and_select(Q, H, [square, tri2], 1, cfg)[0] == [square]
 
+    def test_carried_basis_without_evaluation(self, monkeypatch):
+        # l = l': the leading candidates are the picks, and the exact flows
+        # and the basis follow them with no solve
+        g = k4()
+        cells = [validate_cycle(g, [0, 1, 2, 0]), validate_cycle(g, [0, 1, 3, 0]),
+                 validate_cycle(g, [0, 2, 3, 0])]
+        F = remove_gradient(g, np.random.default_rng(2).standard_normal((6, 3)))
+        cfg = InferenceConfig(total_cells=2, candidates_per_iteration=2, added_per_iteration=2)
+        solves = []
+        monkeypatch.setattr(hodge, "least_squares", lambda *a, **k: solves.append(a))
+        chosen, after, basis = evaluate_and_select(curl_basis(CellComplex(g)), F, cells, 2, cfg)
+        monkeypatch.undo()
+        assert chosen == cells[:2] and solves == []
+        grown = CellComplex(g, cells[:2])
+        np.testing.assert_allclose(after, harmonic_projection(grown, F), atol=1e-12)
+        Q = curl_basis(grown)
+        assert np.allclose(basis @ basis.T, Q @ Q.T, atol=1e-12)
+
     def test_shortfall_returns_all(self):
         g = t3()
         triangle = validate_cycle(g, [0, 1, 2, 0])
@@ -383,35 +401,30 @@ class TestInferMfci:
         _, trace = infer_mfci(cpx.graph, flows, cfg)
         assert [r.cumulative_solver_calls for r in trace.records] == expected
 
-    @pytest.mark.parametrize("projection", ["exact", "approximate"])
-    def test_scoring_nonconvergence_noted(self, projection, monkeypatch):
+    # l' < l scores candidates; l = l' with exact projection adds them all
+    # and moves the exact flows by their scoring directions
+    @pytest.mark.parametrize("candidates, added, total, projection", [
+        pytest.param(3, 1, 5, "exact", id="exact"),
+        pytest.param(3, 1, 5, "approximate", id="approximate"),
+        pytest.param(2, 2, 6, "exact", id="exact-all-added"),
+    ])
+    def test_scoring_nonconvergence_noted(self, candidates, added, total, projection,
+                                          monkeypatch):
         cpx = random_complex(SynthConfig(12, 0.7, 6, 1, seed=37))
         flows = sample_flows(cpx, 8, 1.0, 0.2, np.random.default_rng(9))
-        cfg = InferenceConfig(total_cells=5, candidates_per_iteration=3, added_per_iteration=1,
-                              projection=projection)
+        cfg = InferenceConfig(total_cells=total, candidates_per_iteration=candidates,
+                              added_per_iteration=added, projection=projection)
         _, converged = infer_mfci(cpx.graph, flows, cfg)
         assert all(r.notes == () for r in converged.records)
         monkeypatch.setattr(hodge, "least_squares",
                             functools.partial(hodge.least_squares, max_iterations=1))
         _, trace = infer_mfci(cpx.graph, flows, cfg)
         # one solver step does not finish gradient removal (record 0), and
-        # scoring solves nothing, so no later record can note it
+        # neither scoring nor the exact update solves, so no later record
+        # can note it
         nc = ("solver-nonconverged",)
-        assert [r.notes for r in trace.records] == [nc, (), (), (), (), ()]
-
-    def test_reprojection_nonconvergence_noted(self, monkeypatch):
-        cpx = random_complex(SynthConfig(12, 0.7, 6, 1, seed=37))
-        flows = sample_flows(cpx, 8, 1.0, 0.2, np.random.default_rng(9))
-        cfg = InferenceConfig(total_cells=6, candidates_per_iteration=2, added_per_iteration=2,
-                              projection="exact")
-        monkeypatch.setattr(hodge, "least_squares",
-                            functools.partial(hodge.least_squares, max_iterations=3))
-        _, trace = infer_mfci(cpx.graph, flows, cfg)
-        # no scoring here: three solver steps finish neither gradient removal
-        # (record 0) nor the exact re-projections onto more than two cells
-        assert cfg.evaluate_candidates is False
-        nc = ("solver-nonconverged",)
-        assert [r.notes for r in trace.records] == [nc, (), nc, nc]
+        assert len(trace.records) > 2
+        assert [r.notes for r in trace.records] == [nc] + [()] * (len(trace.records) - 1)
 
     def test_ica_nonconvergence_noted(self, monkeypatch):
         cpx = random_complex(SynthConfig(12, 0.7, 6, 1, seed=37))
@@ -538,14 +551,20 @@ def assert_losses_match_prefix_reprojection(graph, flows, trace):
                                atol=1e-12 * expected[0])
 
 
+def all_added(projection):
+    return InferenceConfig(total_cells=6, candidates_per_iteration=2, added_per_iteration=2,
+                           method="ica", projection=projection)
+
+
 # The two loops that report through the recompute: fast MFCI (approximate,
 # no evaluation) and the random baseline.
 REPORTED = {
-    "fast": lambda g, F: infer_mfci(g, F, InferenceConfig(
-        total_cells=6, candidates_per_iteration=2, added_per_iteration=2, method="ica",
-        projection="approximate"), np.random.default_rng(3)),
-    "random": lambda g, F: infer_random(g, F, 6, np.random.default_rng(8)),
+    "fast": lambda g, F, timer=None: infer_mfci(g, F, all_added("approximate"),
+                                                np.random.default_rng(3), timer),
+    "random": lambda g, F, timer=None: infer_random(g, F, 6, np.random.default_rng(8), timer),
 }
+# ... and their exact-projection counterpart, which carries its exact flows
+EXACT = lambda g, F: infer_mfci(g, F, all_added("exact"), np.random.default_rng(3))
 
 
 class TestReportingRecompute:
@@ -575,11 +594,34 @@ class TestReportingRecompute:
         for width, record in zip(widths[2:], records[2:]):
             assert width <= len(record.cells_added) < flows.shape[1]
 
-    @pytest.mark.parametrize("name", sorted(REPORTED))
+    @pytest.mark.parametrize("name", sorted(REPORTED) + ["exact"])
     def test_losses_match_prefix_reprojection(self, name):
         graph, flows = self.instance()
-        _, trace = REPORTED[name](graph, flows)
+        _, trace = {**REPORTED, "exact": EXACT}[name](graph, flows)
         assert_losses_match_prefix_reprojection(graph, flows, trace)
+
+    @pytest.mark.parametrize("name", sorted(REPORTED))
+    def test_reporting_runs_after_the_clock_stops(self, name, monkeypatch):
+        graph, flows = self.instance()
+        now = [0.0]
+
+        def clock():
+            now[0] += 1.0
+            return now[0]
+
+        grown = mfci.grown_harmonic
+
+        def slow(*args, **kwargs):
+            now[0] += 1000.0
+            return grown(*args, **kwargs)
+
+        monkeypatch.setattr(mfci, "grown_harmonic", slow)
+        _, trace = REPORTED[name](graph, flows, clock)
+        seconds = [r.cumulative_seconds for r in trace.records]
+        # every record but the first reported through the slow recompute,
+        # and none of its time reached the trace
+        assert now[0] > 1000.0 * (len(seconds) - 1) > 1000.0
+        assert seconds == sorted(seconds) and seconds[-1] < 1000.0
 
     def test_cells_in_the_curl_span(self):
         # K4 has 7 simple cycles spanning a 3-dimensional cycle space, so at
@@ -620,12 +662,16 @@ class TestReportingRecompute:
                    == (1, records[0].cumulative_solver_iterations) for r in records)
 
 
-# The two loops that score candidates against the carried curl basis: SPH
-# and best-1-of-8 MFCI.
+# The loops that carry the curl basis: SPH and best-1-of-8 MFCI score
+# candidates against it, and MFCI-exact (l = l' = 8) moves its exact flows
+# along it.
 SCORED = {
     "sph": lambda g, F: infer_sph(g, F, SphConfig(total_cells=10)),
     "best1of8": lambda g, F: infer_mfci(g, F, InferenceConfig(
         total_cells=10, candidates_per_iteration=8, added_per_iteration=1)),
+    "exact": lambda g, F: infer_mfci(g, F, InferenceConfig(
+        total_cells=10, candidates_per_iteration=8, added_per_iteration=8, method="ica",
+        projection="exact"), np.random.default_rng(5)),
 }
 
 

@@ -4,7 +4,7 @@
 Usage::
 
     python3 tools/bench_pairs.py PARENT CHANGE --workload small --seed 41 \\
-        --pairs 10 --claim fast_s --out BENCH_hotpath.json
+        --pairs 10 [--claim fast_s] --out BENCH_hotpath.json
 
 PARENT and CHANGE are two checkouts of the repository.  Pair i runs
 ``python3 <checkout>/perfbench/run.py --workload W --seed S --trace 0`` in
@@ -15,13 +15,21 @@ The report (JSON, written to ``--out``) holds every pair's end-to-end
 metrics, ``[failed, attempted]`` counts and ``correct`` flags, and per
 metric each side's
 quartiles ``[q1, median, q3]`` and the number of pairs in which the change
-was lower.  The claimed metric, which must be one where lower is better (as
-every end-to-end metric of ``BENCHMARK.json`` is), passes when the change
-is lower in at least 9 of every 10 pairs and the gap between the medians is
-larger than the parent's interquartile range.  The exit status is 0 when
-the claim passes, no run failed a call and every run reports ``correct``
-(a run that stops producing a metric fails no call but is not correct),
-1 otherwise.  Stdlib only.
+was lower.
+
+Two rules are applied.  The regression rule covers every end-to-end metric
+that ``PARENT/BENCHMARK.json`` lists: the change regresses a metric when its
+median is worse than the parent's by more than the metric's relative
+``bound`` (above ``(1 + bound)`` times the parent's median where lower is
+better, below ``(1 - bound)`` times it where higher is better).  The claim
+rule applies only when ``--claim`` names a metric, which must be one where
+lower is better (as every end-to-end metric of ``BENCHMARK.json`` is): it
+passes when the change is lower in at least 9 of every 10 pairs and the
+gap between the medians is larger than the parent's interquartile range.
+The exit status is 0 when no metric regressed, the claim (if any) passes,
+no run failed a call and every run reports ``correct`` (a run that stops
+producing a metric fails no call but is not correct), 1 otherwise.  Stdlib
+only.
 """
 
 from __future__ import annotations
@@ -43,7 +51,7 @@ def parse_args(argv):
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--claim", required=True, help="end-to-end metric claimed to fall")
+    parser.add_argument("--claim", help="end-to-end metric claimed to fall (none: no claim)")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     if args.pairs < 2:
@@ -100,9 +108,31 @@ def judge(pairs, metric):
                 passes=wins * 10 >= 9 * len(pairs) and gap > q3 - q1)
 
 
+def bounds(benchmark):
+    """End-to-end metric name -> (relative bound, better) from a
+    ``BENCHMARK.json``."""
+    spec = json.loads(benchmark.read_text())
+    return {m["name"]: (m["bound"], m["better"]) for m in spec["end_to_end"]}
+
+
+def regression(pairs, metric, bound, better):
+    """The regression rule: the change's median worse than the parent's by
+    more than ``bound``, relative to the parent's median."""
+    parent = statistics.median(values(pairs, "parent", metric))
+    change = statistics.median(values(pairs, "change", metric))
+    limit = parent * (1 + bound if better == "lower" else 1 - bound)
+    worse = change > limit if better == "lower" else change < limit
+    return {"parent_median": round(parent, 4), "change_median": round(change, 4),
+            "bound": bound, "better": better, "limit": round(limit, 4), "regressed": worse}
+
+
 def main(argv=None):
     args = parse_args(sys.argv[1:] if argv is None else argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    limits = bounds(checkouts["parent"] / "BENCHMARK.json")
+    if args.claim is not None and args.claim not in limits:
+        sys.exit(f"error: {args.claim!r} is not an end-to-end metric of BENCHMARK.json")
+    shown = args.claim or next(iter(limits))
     pairs, environment = [], None
     for i in range(args.pairs):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
@@ -112,19 +142,23 @@ def main(argv=None):
             pair[side] = {name: entry["value"] for name, entry in result["metrics"].items()}
             pair[f"{side}_failed"] = [result["failed"], result["attempted"]]
             pair[f"{side}_correct"] = result["correct"]
-        if args.claim not in pair["parent"] or args.claim not in pair["change"]:
-            sys.exit(f"error: no end-to-end metric {args.claim!r} on both sides")
+        missing = [name for name in limits
+                   if name not in pair["parent"] or name not in pair["change"]]
+        if missing:
+            sys.exit(f"error: end-to-end metrics {missing} not reported on both sides")
         pairs.append(pair)
-        print(f"pair {i}: {args.claim} parent {pair['parent'][args.claim]:.4g} "
-              f"change {pair['change'][args.claim]:.4g}", flush=True)
+        print(f"pair {i}: {shown} parent {pair['parent'][shown]:.4g} "
+              f"change {pair['change'][shown]:.4g}", flush=True)
 
     summary = {name: summarize(pairs, name)
                for name in pairs[0]["parent"] if name in pairs[0]["change"]}
-    verdict = judge(pairs, args.claim)
+    checked = {name: regression(pairs, name, *limits[name]) for name in limits}
+    regressed = [name for name, check in checked.items() if check["regressed"]]
+    verdict = judge(pairs, args.claim) if args.claim else None
     failed = sum(p[f"{side}_failed"][0] for p in pairs for side in SIDES)
     incorrect = sum(not p[f"{side}_correct"] for p in pairs for side in SIDES)
     report = {
-        "claim": f"{args.workload}.{args.claim}",
+        "claim": f"{args.workload}.{args.claim}" if args.claim else None,
         "command": f"python3 perfbench/run.py --workload {args.workload} "
                    f"--seed {args.seed} --trace 0",
         "commits": {side: commit_of(path) for side, path in checkouts.items()},
@@ -133,20 +167,27 @@ def main(argv=None):
                     "when i is odd",
         "rule": "the change is lower in at least 9 of every 10 pairs, and the median "
                 "gap is larger than the parent's interquartile range",
+        "regression_rule": "no end-to-end metric's median is worse than the parent's "
+                           "by more than its relative bound in BENCHMARK.json",
         "environment": environment,
-        "result": {f"{args.workload}.{args.claim}": verdict},
+        "result": {f"{args.workload}.{args.claim}": verdict} if args.claim else {},
+        "bounds": {f"{args.workload}.{name}": check for name, check in checked.items()},
+        "regressed": [f"{args.workload}.{name}" for name in regressed],
         "failed_calls": failed,
         "incorrect_runs": incorrect,
         "workloads": {args.workload: {"summary": summary, "pairs": pairs}},
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n")
-    print(f"{args.workload}.{args.claim}: parent {verdict['parent_q1_median_q3']} -> change "
-          f"{verdict['change_q1_median_q3']}, lower in {verdict['change_lower_in']}, "
-          f"median gap {verdict['median_gap']:.4g} against parent spread "
-          f"{verdict['parent_quartile_spread']:.4g}: "
-          f"{'passes' if verdict['passes'] else 'fails'}; {failed} failed calls, "
-          f"{incorrect} incorrect runs")
-    return 0 if verdict["passes"] and not failed and not incorrect else 1
+    if verdict:
+        print(f"{args.workload}.{args.claim}: parent {verdict['parent_q1_median_q3']} -> "
+              f"change {verdict['change_q1_median_q3']}, lower in "
+              f"{verdict['change_lower_in']}, median gap {verdict['median_gap']:.4g} "
+              f"against parent spread {verdict['parent_quartile_spread']:.4g}: "
+              f"{'passes' if verdict['passes'] else 'fails'}")
+    print(f"{args.workload}: regressed beyond bound: {', '.join(regressed) or 'none'}; "
+          f"{failed} failed calls, {incorrect} incorrect runs")
+    passes = verdict is None or verdict["passes"]
+    return 0 if passes and not regressed and not failed and not incorrect else 1
 
 
 if __name__ == "__main__":
