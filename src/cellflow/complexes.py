@@ -6,6 +6,10 @@ here is exact integer arithmetic; floating point only enters downstream in
 the flow computations.  Tree cycles come from one Kruskal generator, taken
 heaviest first (``heaviest_tree_cycles``: deterministic discretization and
 SPH) or in random order (``random_tree_cell``: random baseline, synth).
+Kruskal in random order stops once its tree has the graph's cached
+spanning-forest size of n - c edges (c components), and ``tree_cycle``
+searches only the forest it is given, so neither walks all m edges in
+Python per cell.
 """
 
 from __future__ import annotations
@@ -73,6 +77,10 @@ class OrientedGraph:
     and flow vector in this package.  Instances are immutable by convention;
     do not mutate ``edges`` after construction.
 
+    The signed incidence matrix (``incidence``) and the size of a spanning
+    forest, n - c edges for c connected components (``forest_size``), are
+    each computed on first use and cached.
+
     Parameters
     ----------
     node_count : int
@@ -108,10 +116,20 @@ class OrientedGraph:
             adjacency[v].append((u, k))
         self.adjacency = tuple(tuple(a) for a in adjacency)
         self._incidence = None
+        self._forest_size = None
 
     @property
     def edge_count(self):
         return len(self.edges)
+
+    @property
+    def forest_size(self):
+        """Cached edge count n - c of a spanning forest (c components); the
+        graph is a forest exactly when this equals ``edge_count``."""
+        if self._forest_size is None:
+            uf = UnionFind(self.node_count)
+            self._forest_size = sum(uf.union(u, v) for u, v in self.edges)
+        return self._forest_size
 
     def edge_sign(self, u, v):
         """Return ``(edge_id, +1)`` if (u, v) is stored source->target,
@@ -411,28 +429,37 @@ def tree_cycle(graph, forest_edges, closing_edge):
     """The unique cycle formed by ``closing_edge`` plus the forest path
     between its endpoints.  Returns the cycle as a set of edge ids.
 
-    ``forest_edges`` must be acyclic; this is not re-checked.
+    ``forest_edges`` must be acyclic; this is not re-checked.  The search
+    runs over an adjacency built from ``forest_edges`` alone, so a call
+    costs O(len(forest_edges)), whatever the size of the graph.
 
     Raises
     ------
+    ValueError
+        If ``closing_edge`` is one of ``forest_edges``.
     NoPath
         If the endpoints of ``closing_edge`` lie in different forest
         components.
     """
-    forest_edges = set(int(e) for e in forest_edges)
     closing_edge = int(closing_edge)
-    if closing_edge in forest_edges:
-        raise ValueError("closing_edge must not be part of the forest")
+    adjacency = {}
+    for e in forest_edges:
+        e = int(e)
+        if e == closing_edge:
+            raise ValueError("closing_edge must not be part of the forest")
+        a, b = graph.edges[e]
+        adjacency.setdefault(a, []).append((b, e))
+        adjacency.setdefault(b, []).append((a, e))
     u, v = graph.edges[closing_edge]
-    # BFS from u to v restricted to forest edges; the path is unique.
+    # BFS from u to v over the forest; the path is unique.
     parent = {u: (None, None)}
     todo = deque([u])
     while todo:
         node = todo.popleft()
         if node == v:
             break
-        for nbr, eid in graph.adjacency[node]:
-            if eid in forest_edges and nbr not in parent:
+        for nbr, eid in adjacency.get(node, ()):
+            if nbr not in parent:
                 parent[nbr] = (node, eid)
                 todo.append(nbr)
     if v not in parent:
@@ -450,7 +477,9 @@ def kruskal(graph, order, forest):
     one that joins two components to ``forest`` (a set of edge ids, grown in
     place), and yield each one that closes a cycle instead.  Right after a
     yield, ``tree_cycle(graph, forest, edge)`` is that edge's cycle; once the
-    generator is exhausted, ``forest`` is the whole spanning forest."""
+    generator is exhausted, ``forest`` is the whole spanning forest.  It is
+    whole already once it holds ``graph.forest_size`` edges: every later
+    edge closes a cycle, so a caller may stop there."""
     uf = UnionFind(graph.node_count)
     for e in order:
         e = int(e)
@@ -481,10 +510,21 @@ def heaviest_tree_cycles(graph, weights, count):
 def random_tree_cell(graph, rng):
     """One cell drawn as: random-order greedy spanning tree, uniform non-tree
     edge (in edge-id order), closed through the tree.  Raises ValueError if
-    the graph has no cycle."""
-    tree = set()
-    non_tree = sorted(kruskal(graph, rng.permutation(graph.edge_count), tree))
-    if not non_tree:
+    the graph has no cycle.
+
+    Kruskal takes the edges in the order of one ``rng.permutation`` draw and
+    stops once the tree has ``graph.forest_size`` edges; the non-tree edges
+    are the rest.  The tree and the rng stream (the permutation, then one
+    ``rng.integers``) are those of a Kruskal run over all m edges."""
+    order = rng.permutation(graph.edge_count)
+    if graph.forest_size == graph.edge_count:
         raise ValueError("graph contains no cycle")
-    closing = non_tree[rng.integers(len(non_tree))]
+    tree = set()
+    for _ in kruskal(graph, order, tree):
+        if len(tree) == graph.forest_size:
+            break
+    non_tree = np.ones(graph.edge_count, dtype=bool)
+    non_tree[list(tree)] = False
+    non_tree = np.flatnonzero(non_tree)
+    closing = int(non_tree[rng.integers(len(non_tree))])
     return boundary_from_edge_set(graph, tree_cycle(graph, tree, closing))

@@ -30,7 +30,6 @@ from .complexes import (
     CellComplex,
     add_cells,
     heaviest_tree_cycles,
-    kruskal,
     validate_cycle,
 )
 from .factorize import (
@@ -328,7 +327,7 @@ def _greedy_loop(graph, flows, total_cells, timer, steps):
     ``(complex, trace)``.
     """
     flows = _flow_matrix(graph, flows)
-    if next(kruskal(graph, range(graph.edge_count), set()), None) is None:
+    if graph.forest_size == graph.edge_count:
         raise GraphIsForest("graph has no cycle, so no cell can be inferred")
     if timer is None:
         timer = make_timer()

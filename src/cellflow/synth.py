@@ -97,7 +97,7 @@ def random_complex(cfg, rng=None):
     for _ in range(1000):
         edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
         candidate = _largest_component_graph(n, edges)
-        independent_cycles = candidate.edge_count - candidate.node_count + 1
+        independent_cycles = candidate.edge_count - candidate.forest_size
         if independent_cycles >= cfg.planted_cells:
             graph = candidate
             break

@@ -13,6 +13,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 MANIFEST = ROOT / "tests" / "data" / "digest_manifest.json"
 
@@ -64,3 +66,13 @@ def test_compare_names_the_columns_a_csv_differs_in(tmp_path, capsys):
     assert "dense: 3 files, 2 differ" in out
     assert "FAIL dense/sph_seed0.csv: differs in cumulative_solver_iterations\n" in out
     assert "FAIL dense/random_seed0.csv: differs\n" in out
+
+
+def test_an_option_is_not_taken_for_an_out_dir(tmp_path, monkeypatch):
+    digest = load_trace_digest()
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as stop:
+        digest.main(["--help"])
+    assert stop.value.code not in (0, None)
+    assert str(stop.value).startswith("usage: trace_digest.py OUT_DIR")
+    assert list(tmp_path.iterdir()) == []

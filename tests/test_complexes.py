@@ -1,5 +1,9 @@
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cellflow import complexes
 from cellflow.complexes import (
@@ -12,10 +16,13 @@ from cellflow.complexes import (
     OrientedGraph,
     RepeatedNode,
     TooShort,
+    UnionFind,
     add_cells,
     boundary_from_edge_set,
     build_incidence,
     check_cell,
+    kruskal,
+    random_tree_cell,
     tree_cycle,
     validate_cycle,
 )
@@ -44,6 +51,18 @@ class TestOrientedGraph:
     def test_rejects_out_of_range_nodes(self):
         with pytest.raises(ValueError, match="outside"):
             OrientedGraph(2, [(0, 2)])
+
+    @pytest.mark.parametrize("node_count, edges, size", [
+        (1, [], 0),
+        (4, [(0, 1), (1, 2), (2, 3)], 3),  # a path: a tree
+        (5, [(0, 1), (2, 3), (3, 4)], 3),  # a forest of two trees
+        (6, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 3)], 4),  # the cycle in the second part
+        (4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], 3),
+    ])
+    def test_forest_size_is_n_minus_components(self, node_count, edges, size):
+        g = OrientedGraph(node_count, edges)
+        assert g.forest_size == size
+        assert g.forest_size is g.forest_size
 
     def test_edge_sign_lookup(self):
         g = t3()
@@ -192,13 +211,15 @@ class TestTreeCycle:
         with pytest.raises(NoPath):
             tree_cycle(k4(), {0}, 5)
 
+    def test_closing_edge_in_forest(self):
+        with pytest.raises(ValueError, match="part of the forest"):
+            tree_cycle(k4(), {0, 3, 5}, 3)
+
     def test_contains_closing_edge_and_degree_two(self):
         rng = np.random.default_rng(3)
         g = k4()
         for _ in range(20):
             order = rng.permutation(6)
-            from cellflow.complexes import UnionFind
-
             uf = UnionFind(4)
             tree = {int(e) for e in order if uf.union(*g.edges[e])}
             non_tree = [e for e in range(6) if e not in tree]
@@ -317,3 +338,124 @@ def test_random_complexes_satisfy_b1b2_zero():
         B1 = build_incidence(cpx.graph).toarray().astype(np.int64)
         B2 = cpx.boundary_matrix().toarray().astype(np.int64)
         assert (B1 @ B2 == 0).all()
+
+
+def reference_tree_cycle(graph, forest_edges, closing_edge):
+    """``tree_cycle`` as it was before it searched the forest alone: a BFS
+    over the whole graph's adjacency lists, keeping the forest edges."""
+    forest_edges = set(int(e) for e in forest_edges)
+    closing_edge = int(closing_edge)
+    if closing_edge in forest_edges:
+        raise ValueError("closing_edge must not be part of the forest")
+    u, v = graph.edges[closing_edge]
+    parent = {u: (None, None)}
+    todo = deque([u])
+    while todo:
+        node = todo.popleft()
+        if node == v:
+            break
+        for nbr, eid in graph.adjacency[node]:
+            if eid in forest_edges and nbr not in parent:
+                parent[nbr] = (node, eid)
+                todo.append(nbr)
+    if v not in parent:
+        raise NoPath(f"endpoints {u} and {v} are in different forest components")
+    cycle = {closing_edge}
+    node = v
+    while node != u:
+        node, eid = parent[node]
+        cycle.add(eid)
+    return cycle
+
+
+def reference_random_tree_cell(graph, rng):
+    """``random_tree_cell`` as it was before it stopped early: Kruskal over
+    all m edges, the reference for its cells and its rng stream."""
+    tree = set()
+    non_tree = sorted(kruskal(graph, rng.permutation(graph.edge_count), tree))
+    if not non_tree:
+        raise ValueError("graph contains no cycle")
+    closing = non_tree[rng.integers(len(non_tree))]
+    return boundary_from_edge_set(graph, reference_tree_cycle(graph, tree, closing))
+
+
+def outcome(function, *args):
+    try:
+        return function(*args)
+    except (NoPath, ValueError) as exc:
+        return type(exc)
+
+
+@st.composite
+def two_block_graphs(draw):
+    """A random small graph on two node blocks, joined by one edge or not
+    (so often disconnected, and sometimes a forest), where each pair within
+    a block is an edge of either orientation or no edge."""
+    sizes = draw(st.integers(1, 6)), draw(st.integers(0, 6))
+    pairs = [(i, j) for start, size in ((0, sizes[0]), (sizes[0], sizes[1]))
+             for i in range(start, start + size) for j in range(i + 1, start + size)]
+    kinds = draw(st.lists(st.sampled_from("-+."), min_size=len(pairs), max_size=len(pairs)))
+    edges = [(u, v) if kind == "+" else (v, u)
+             for (u, v), kind in zip(pairs, kinds) if kind != "."]
+    if sizes[1] and draw(st.booleans()):
+        edges.append((0, sizes[0]))
+    return OrientedGraph(sum(sizes), edges)
+
+
+class TappedRng:
+    """An rng whose permutations count how many of their edges are taken."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.order = []
+        self.taken = 0
+
+    def permutation(self, m):
+        self.order = self.rng.permutation(m).tolist()
+        self.taken = 0
+        return self._tap()
+
+    def _tap(self):
+        for e in self.order:
+            self.taken += 1
+            yield e
+
+    def integers(self, high):
+        return self.rng.integers(high)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(two_block_graphs(), st.integers(0, 10**6), st.integers(1, 5))
+def test_random_tree_cell_matches_full_kruskal(graph, seed, draws):
+    # Same cells, or the same ValueError on a forest, and the same rng state
+    # after every draw; and Kruskal stops one edge after the tree's last union.
+    tapped, reference = TappedRng(seed), np.random.default_rng(seed)
+    for _ in range(draws):
+        got = outcome(random_tree_cell, graph, tapped)
+        assert got == outcome(reference_random_tree_cell, graph, reference)
+        assert tapped.rng.bit_generator.state == reference.bit_generator.state
+        uf = UnionFind(graph.node_count)
+        unions = [i for i, e in enumerate(tapped.order) if uf.union(*graph.edges[e])]
+        if got is not ValueError:
+            assert tapped.taken <= unions[-1] + 2
+
+
+def test_tree_cycle_matches_the_whole_graph_bfs():
+    # Partial random forests of random graphs, closed by every graph edge:
+    # found cycles, NoPath and closing edges inside the forest all occur.
+    rng = np.random.default_rng(17)
+    seen = set()
+    for _ in range(60):
+        n = int(rng.integers(2, 12))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        keep = rng.random(len(pairs)) < rng.uniform(0.2, 0.8)
+        graph = OrientedGraph(n, [p for p, k in zip(pairs, keep) if k])
+        prefix = rng.permutation(graph.edge_count)[:int(rng.integers(0, n))]
+        forest = set()
+        for _ in kruskal(graph, prefix, forest):
+            pass
+        for e in range(graph.edge_count):
+            expected = outcome(reference_tree_cycle, graph, forest, e)
+            assert outcome(tree_cycle, graph, forest, e) == expected
+            seen.add(expected if isinstance(expected, type) else set)
+    assert seen == {set, NoPath, ValueError}

@@ -512,9 +512,26 @@ class TestInferMfci:
         solves = []
         monkeypatch.setattr(hodge, "least_squares", lambda *a, **k: solves.append(a))
         path = OrientedGraph(4, [(0, 1), (1, 2), (2, 3)])
-        with pytest.raises(GraphIsForest, match="no cycle"):
-            infer(path, np.ones((3, 2)))
+        two_trees = OrientedGraph(6, [(0, 1), (1, 2), (3, 4)])
+        for forest in (path, two_trees):
+            with pytest.raises(GraphIsForest, match="no cycle"):
+                infer(forest, np.ones((3, 2)))
         assert solves == []
+
+    @pytest.mark.parametrize("infer", [
+        lambda g, F: infer_mfci(g, F, InferenceConfig(total_cells=1), np.random.default_rng(0)),
+        lambda g, F: infer_sph(g, F, SphConfig(total_cells=1)),
+        lambda g, F: infer_random(g, F, 1, np.random.default_rng(0)),
+    ], ids=["mfci", "sph", "random"])
+    def test_only_cycle_in_the_second_component_is_inferred(self, infer):
+        # n - 1 edges, so only the component count tells this graph from a tree.
+        graph = OrientedGraph(6, [(0, 1), (1, 2), (3, 4), (4, 5), (3, 5)])
+        assert graph.edge_count == graph.node_count - 1
+        flows = np.zeros((5, 2))
+        flows[2:] = [[1.0, 2.0], [1.0, 2.0], [-1.0, -2.0]]
+        complex_, trace = infer(graph, flows)
+        assert [c.edges.tolist() for c in complex_.cells] == [[2, 3, 4]]
+        assert trace.final.loss <= 1e-9
 
     def test_ica_needs_two_flow_samples(self, monkeypatch):
         solves = []

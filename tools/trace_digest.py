@@ -5,6 +5,9 @@ Usage::
 
     PYTHONPATH=<checkout>/src python3 tools/trace_digest.py OUT_DIR
 
+An OUT_DIR that starts with ``-`` (``--help``, say) is refused with the
+usage line, and nothing is written.
+
 The cellflow package is taken from PYTHONPATH when it is set, so the same
 script digests any checkout; otherwise from the ``src`` next to this
 directory.  Every run has the clock off and writes four files named after
@@ -313,7 +316,7 @@ def main(argv):
     if len(argv) == 2 and argv[0] == "--manifest":
         write_manifest(argv[1])
         return
-    if len(argv) != 1:
+    if len(argv) != 1 or argv[0].startswith("-"):
         sys.exit("usage: trace_digest.py OUT_DIR | trace_digest.py --compare A B"
                  " | trace_digest.py --manifest FILE")
     out = Path(argv[0])
