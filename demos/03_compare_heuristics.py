@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 # Head-to-head on one synthetic instance: the factorization heuristic with
 # and without candidate evaluation, the spanning-tree baseline, and random
-# cells.  The fast variant never touches the iterative solver inside its
-# loop, which is where its speed comes from.
+# cells.  The fast variant updates its harmonic flows by a cheap span
+# projection inside its loop, which is where its speed comes from.
 
 import time
 

@@ -156,14 +156,9 @@ def build_incidence(graph):
     """Signed incidence matrix: column k holds +1 at the source and -1 at the
     target of edge k.  Returned as a sparse CSC matrix of int8."""
     m = graph.edge_count
-    rows = np.empty(2 * m, dtype=np.int64)
-    data = np.empty(2 * m, dtype=np.int8)
+    rows = np.asarray(graph.edges, dtype=np.int64).reshape(-1)
+    data = np.tile(np.array([1, -1], dtype=np.int8), m)
     cols = np.repeat(np.arange(m, dtype=np.int64), 2)
-    for k, (u, v) in enumerate(graph.edges):
-        rows[2 * k] = u
-        rows[2 * k + 1] = v
-        data[2 * k] = 1
-        data[2 * k + 1] = -1
     return sparse.csc_matrix((data, (rows, cols)), shape=(graph.node_count, m))
 
 

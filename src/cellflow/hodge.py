@@ -1,32 +1,24 @@
-"""Gradient/curl/harmonic projections of edge flows via iterative least squares.
+"""Gradient/curl/harmonic projections of edge flows.
 
 Edge-flow space splits orthogonally into the gradient space (image of the
 transposed incidence matrix), the curl space (image of the boundary matrix),
 and the harmonic space (everything orthogonal to both).  Gradient removal
 and the curl projections of a whole complex are least-squares solves
-against the sparse incidence or boundary matrix; no Laplacian is ever
-materialized.  Candidate scoring and the harmonic updates of the greedy
-loops instead run against a dense orthonormal basis of the curl span
-(``curl_basis``), which a loop extends by one direction per added cell
-(``RankOneScores.basis_after``), so they need no solve at all.  Inside a
-loop, then, only gradient removal solves; the reporting recompute of the
-loops that carry no exact flows (``grown_harmonic``) solves after the
-loop's clock has stopped.
+against the incidence or boundary matrix.  Candidate scoring and the
+harmonic updates of the greedy loops instead run against a dense
+orthonormal basis of the curl span (``curl_basis``), which a loop extends
+by one direction per added cell (``RankOneScores.basis_after``), so they
+need no solve at all.  Inside a loop, then, only gradient removal solves;
+the reporting recompute of the loops that carry no exact flows
+(``grown_harmonic``) solves after the loop's clock has stopped.
 
-The solver is CGLS (conjugate gradients on the normal equations, in the
-CGLS1 form that carries the residual and never forms A^T A), run on a
-whole block of right-hand sides at once.  Columns are mathematically
-independent: each carries its own recurrence state, converges on its own
-criterion (``||A^T r||`` against its target), and is frozen once
-converged.  A call solves its whole batch as one deterministic unit, so
-repeated runs on identical inputs are bitwise identical.
-
-``least_squares`` alone holds the solver contract: relative tolerance
-1e-8 and an iteration cap of 10 * (rows + cols), as keyword defaults.  The
-projections below take no solver settings; they pass an optional
-``SolverTally`` through, and ``least_squares`` counts itself into it, which
-is how the inference loops account for solver work and notice a solve that
-did not converge.
+``least_squares`` is the one solve: a direct minimum-norm solve through the
+eigendecomposition of the small Gram matrix A^T A (the n x n graph
+Laplacian for gradient removal, k x k for the curl span of k cells), with
+no iteration budget and no settings.  The projections below pass an
+optional ``SolverTally`` through, and ``least_squares`` counts itself into
+it, which is how the inference loops account for solver work and notice a
+solve whose residual check failed.
 """
 
 from __future__ import annotations
@@ -37,23 +29,33 @@ from typing import NamedTuple
 import numpy as np
 from scipy import sparse
 
+#: Eigenvalues of A^T A at or below this fraction of the largest count as
+#: zero: a graph Laplacian's null space (one vector per component) and
+#: exactly dependent cells fall far below it.
+_RANK_CUTOFF = 1e-10
+#: The ``converged`` check of ``least_squares`` and its rounding floor.
+_RESIDUAL_TOLERANCE = 1e-8
+_ROUNDING_FLOOR = 1e-13
+
 
 @dataclass
 class SolverTally:
     """Mutable accumulator for solver-call accounting in inference loops;
-    ``nonconverged`` counts the calls that ran out of iterations."""
+    ``nonconverged`` counts the calls whose solution failed the residual
+    check of ``least_squares``."""
 
     calls: int = 0
-    iterations: int = 0
     nonconverged: int = 0
 
     def count(self, result):
         self.calls += 1
-        self.iterations += result.iterations
         self.nonconverged += not result.converged
 
 
 class LeastSquaresResult(NamedTuple):
+    """``iterations`` is always 0 (the solve is direct); it stays for the
+    callers that count solver iterations."""
+
     solution: np.ndarray
     iterations: int
     converged: bool
@@ -68,113 +70,69 @@ def _column_norms(M):
     return np.sqrt(np.einsum("ij,ij->j", M, M))
 
 
-def _cgls_columns(A, At, Y, threshold, maxiter):
-    """CGLS (the CGLS1 recurrence) on every column of Y at once, from x = 0.
-
-    A column stops once its ``||A^T r|| <= threshold``; it is then frozen
-    and removed from the active set, so iteration counts match per-column
-    solves.  A column whose ``||A^T y||`` is already within its threshold
-    is done at x = 0 in no iterations.
-
-    Returns (X, iters_per_column).
-    """
-    X = np.zeros((A.shape[1], Y.shape[1]))
-    iters = np.zeros(Y.shape[1], dtype=np.int64)
-    S = np.asarray(At @ Y)
-    gamma = np.einsum("ij,ij->j", S, S)
-    active = np.flatnonzero(np.sqrt(gamma) > threshold)
-    R, P = Y[:, active], S[:, active]
-    gamma, threshold = gamma[active], threshold[active]
-    Xa = np.zeros((X.shape[0], active.size))
-    it = 0
-    while it < maxiter and active.size:
-        it += 1
-        Q = A @ P
-        alpha = gamma / np.einsum("ij,ij->j", Q, Q)
-        Xa += alpha * P
-        R -= alpha * Q
-        S = At @ R
-        gamma_next = np.einsum("ij,ij->j", S, S)
-        P = S + (gamma_next / gamma) * P
-        gamma = gamma_next
-
-        done = np.sqrt(gamma) <= threshold
-        if done.any():
-            X[:, active[done]] = Xa[:, done]
-            iters[active[done]] = it
-            keep = ~done
-            active, Xa, R, P = active[keep], Xa[:, keep], R[:, keep], P[:, keep]
-            gamma, threshold = gamma[keep], threshold[keep]
-    X[:, active] = Xa
-    iters[active] = it
-    return X, iters
-
-
-def least_squares(A, Y, tally=None, tolerance=1e-8, max_iterations=None):
+def least_squares(A, Y, tally=None):
     """Minimum-norm least-squares solve of ``A x = y`` for every column of Y.
 
-    CGLS from x = 0: every iterate stays in range(A^T), so the limit is the
-    minimum-norm solution, and A^T A is never formed.  A column stops once
-    the residual CGLS carries by recurrence meets
-    ``||A^T r|| <= tolerance * ||A^T y||``, or when the iteration budget
-    runs out.  ``converged`` is True when every returned x meets that bound
-    on the true residual ``r = y - A x``, and False otherwise, with the
-    last iterates returned.
+    Direct: with A^T A = V diag(w) V^T (``np.linalg.eigh``), the solution is
+    ``V_k diag(1/w_k) V_k^T A^T y`` over the eigenvalues w_k above
+    ``_RANK_CUTOFF`` times the largest, so x lies in range(A^T).
+    ``converged`` is True when every column meets
+    ``||A^T (A x - y)|| <= 1e-8 ||A^T y||`` on the true residual (or the
+    rounding floor 1e-13 ||A|| ||y||), and False otherwise: a direction of A
+    small enough to fall under the cutoff is left out of x, and the check
+    notices.
 
     Parameters
     ----------
     A : sparse or dense (p, q) matrix, used as float64 CSR
     Y : (p,) or (p, s) array
     tally : SolverTally, optional
-        Counts this call, its iterations and its convergence.
-    tolerance : float
-        Relative residual tolerance, > 0.
-    max_iterations : int, optional
-        Iteration cap per column; None means 10 * (p + q).
+        Counts this call and its convergence.
 
     Returns
     -------
     LeastSquaresResult
-        solution with the same trailing shape as Y, total iteration count
-        consumed across columns, and the convergence flag.
+        solution with the same trailing shape as Y, 0 iterations, and the
+        convergence flag.
     """
-    if tolerance <= 0:
-        raise ValueError("tolerance must be > 0")
-    if max_iterations is not None and max_iterations < 1:
-        raise ValueError("max_iterations must be >= 1")
     A = sparse.csr_matrix(A, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
-    single = Y.ndim == 1
-    if single:
-        Y = Y[:, None]
-    if A.shape[0] != Y.shape[0]:
-        raise ValueError(f"A has {A.shape[0]} rows but Y has {Y.shape[0]}")
+    shape = np.shape(Y)
+    if A.shape[0] != shape[0]:
+        raise ValueError(f"A has {A.shape[0]} rows but Y has {shape[0]}")
+    Y = np.asarray(Y, dtype=np.float64).reshape(shape[0], -1)
     At = A.T.tocsr()
-    maxiter = max_iterations if max_iterations is not None else 10 * sum(A.shape)
-    norm_a = float(np.sqrt((A.data**2).sum()))
-    # ||A^T r|| below ~eps * ||A|| * ||y|| is float64 rounding dust; treat
-    # it as converged rather than chasing an unreachable relative target.
-    floor = 1e-13 * norm_a * _column_norms(Y)
-    target = np.maximum(tolerance * _column_norms(np.asarray(At @ Y)), floor)
-    X, iters = _cgls_columns(A, At, Y, target, maxiter)
-    ok = _column_norms(np.asarray(At @ (A @ X - Y))) <= target
+    AtY = At @ Y
+    w, V = np.linalg.eigh((At @ A).toarray())
+    kept = w > _RANK_CUTOFF * w.max(initial=0.0)
+    V, w = V[:, kept], w[kept]
+    X = V @ ((V.T @ AtY) / w[:, None])
+    floor = _ROUNDING_FLOOR * float(np.sqrt((A.data**2).sum())) * _column_norms(Y)
+    target = np.maximum(_RESIDUAL_TOLERANCE * _column_norms(AtY), floor)
+    ok = _column_norms(At @ (A @ X - Y)) <= target
 
-    solution = X[:, 0] if single else X
-    result = LeastSquaresResult(solution, int(iters.sum()), bool(ok.all()))
+    solution = X.reshape(A.shape[1:] + shape[1:])
+    result = LeastSquaresResult(solution, 0, bool(ok.all()))
     if tally is not None:
         tally.count(result)
     return result
+
+
+def _checked_flows(graph, flows):
+    """``flows`` as float64, with one row per edge of ``graph`` and only
+    finite entries; anything else raises ``ValueError`` before a solve."""
+    flows = np.asarray(flows, dtype=np.float64)
+    if flows.shape[0] != graph.edge_count:
+        raise ValueError("flow matrix rows must equal the graph's edge count")
+    if not np.isfinite(flows).all():
+        raise ValueError("flows must be finite: the flow matrix holds NaN or inf")
+    return flows
 
 
 def remove_gradient(graph, flows, tally=None):
     """Strip the gradient component: returns flows minus the projection onto
     the image of the transposed incidence matrix.  Counted as one solver
     call.  Non-finite flows raise ``ValueError`` before the solve."""
-    flows = np.asarray(flows, dtype=np.float64)
-    if flows.shape[0] != graph.edge_count:
-        raise ValueError("flow matrix rows must equal the graph's edge count")
-    if not np.isfinite(flows).all():
-        raise ValueError("flows must be finite: the flow matrix holds NaN or inf")
+    flows = _checked_flows(graph, flows)
     A = graph.incidence().T.astype(np.float64).tocsr()
     return flows - A @ least_squares(A, flows, tally).solution
 
@@ -185,10 +143,8 @@ def harmonic_projection(complex_, flows, tally=None):
 
     ``flows`` must already be gradient-free (run remove_gradient first); for
     a complex with zero cells this returns the flows unchanged, with no
-    solve."""
-    flows = np.asarray(flows, dtype=np.float64)
-    if flows.shape[0] != complex_.graph.edge_count:
-        raise ValueError("flow matrix rows must equal the graph's edge count")
+    solve.  Non-finite flows raise ``ValueError``, as in remove_gradient."""
+    flows = _checked_flows(complex_.graph, flows)
     if complex_.cell_count == 0:
         return flows.copy()
     B2 = complex_.boundary_matrix(dtype=np.float64).tocsr()
@@ -381,8 +337,8 @@ def approx_harmonic_update(h_prev, chosen, fact):
     span of the chosen boundary vectors.
 
     The projector is built from one small dense least-squares solve against
-    the edges-by-chosen matrix; no iterative solver is invoked and the call
-    is not counted as one.
+    the edges-by-chosen matrix; it does not go through ``least_squares``
+    and is not counted as a solver call.
 
     Returns
     -------

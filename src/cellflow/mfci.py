@@ -309,8 +309,9 @@ def _greedy_loop(graph, flows, total_cells, timer, steps):
     ``(complex_, added, loss, notes)`` per iteration and returns to stop
     early.  It is resumed only while the complex holds fewer than
     ``total_cells`` cells, so each step must fit the remaining budget.
-    Steps solve nothing, so the solver counts of every record are gradient
-    removal's, and only record 0 can carry a "solver-nonconverged" note.
+    Steps solve nothing, so the solver count of every record is gradient
+    removal's one call, and only record 0 can carry a "solver-nonconverged"
+    note.  The solve is direct, so ``cumulative_solver_iterations`` is 0.
 
     Trace policy: ``loss`` is the exact loss after the iteration, as the step
     yields it (||h|| of the exact harmonic flows that SPH and MFCI carry
@@ -322,7 +323,7 @@ def _greedy_loop(graph, flows, total_cells, timer, steps):
     cells added since (``hodge.grown_harmonic``), one least-squares solve
     per such record, against that complex with one right-hand side per
     added cell, or a projection against the new complex when that one is
-    empty.  A record whose reporting solve ran out of iterations gets a
+    empty.  A record whose reporting solve failed its residual check gets a
     "report-nonconverged" note after the step's own notes.  Returns
     ``(complex, trace)``.
     """
@@ -360,7 +361,7 @@ def _greedy_loop(graph, flows, total_cells, timer, steps):
             if report.nonconverged:
                 notes += ("report-nonconverged",)
         records.append(IterationRecord(iteration, added, after.cell_count, loss, seconds,
-                                       tally.calls, tally.iterations, notes))
+                                       tally.calls, 0, notes))
     return complex_, InferenceTrace(tuple(records))
 
 

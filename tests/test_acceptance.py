@@ -2,7 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
 lines.  Criteria 5 and 7 share one set of dense benchmark runs (session
-fixture); criterion 4 audits the traces produced by criteria 3 and 5.
+fixture); criterion 4 audits the traces of that fixture and of the
+criterion-3 sweep (another session fixture), so it also runs on its own.
 
 Criterion 6 (noise-robustness direction) is expected to FAIL: against the
 max-spanning-tree SPH baseline shipped here, the factorization approach is
@@ -167,49 +168,51 @@ def test_criterion_2_small_scale_oracle_equivalence():
         assert elapsed < 120.0, f"criterion 2 took {elapsed:.1f}s"
 
 
-#: traces gathered by criterion 3 for the monotonicity audit of criterion 4
-_EXACT_TRACES = []
+@pytest.fixture(scope="session")
+def eckart_young_sweep():
+    """The 50 random instances of criterion 3, each as (exact-projection
+    trace, gradient-free flows): SPH on every third, evaluated MFCI-SVD on
+    the rest.  Criterion 4 audits the same traces."""
+    rng = np.random.default_rng(777)
+    runs = []
+    for i in range(50):
+        n = int(rng.integers(10, 21))
+        planted = int(rng.integers(3, 9))
+        noise = float(rng.uniform(0.1, 0.6))
+        cpx = random_complex(SynthConfig(n, 0.5 if i % 2 else 0.8, planted, 1,
+                                         seed=3000 + i))
+        flows = sample_flows(cpx, int(rng.integers(4, 11)), 1.0, noise, rng)
+        graph = cpx.graph
+
+        if i % 3 == 2:
+            _, trace = infer_sph(graph, flows,
+                                 SphConfig(total_cells=planted, candidates_per_iteration=4))
+        else:
+            cfg = InferenceConfig(total_cells=planted, candidates_per_iteration=3,
+                                  added_per_iteration=1, method="svd",
+                                  projection="exact")
+            _, trace = infer_mfci(graph, flows, cfg, np.random.default_rng([i, 5]))
+        runs.append((trace, remove_gradient(graph, flows)))
+    return runs
 
 
-def test_criterion_3_eckart_young_lower_bound():
+def test_criterion_3_eckart_young_lower_bound(eckart_young_sweep):
     """On 50 random instances, the exact residual of the inferred complex is
     never below the same-rank SVD residual (minus 1e-6): the factorization
     optimum lower-bounds any discrete cell solution."""
     with criterion(3, "Eckart-Young lower bound"):
-        rng = np.random.default_rng(777)
-        for i in range(50):
-            n = int(rng.integers(10, 21))
-            planted = int(rng.integers(3, 9))
-            noise = float(rng.uniform(0.1, 0.6))
-            cpx = random_complex(SynthConfig(n, 0.5 if i % 2 else 0.8, planted, 1,
-                                             seed=3000 + i))
-            flows = sample_flows(cpx, int(rng.integers(4, 11)), 1.0, noise, rng)
-            graph = cpx.graph
-
-            if i % 3 == 2:
-                _, trace = infer_sph(graph, flows,
-                                     SphConfig(total_cells=planted, candidates_per_iteration=4))
-                final = trace
-            else:
-                cfg = InferenceConfig(total_cells=planted, candidates_per_iteration=3,
-                                      added_per_iteration=1, method="svd",
-                                      projection="exact")
-                _, final = infer_mfci(graph, flows, cfg, np.random.default_rng([i, 5]))
-            _EXACT_TRACES.append(final)
-
-            flows0 = remove_gradient(graph, flows)
+        for trace, flows0 in eckart_young_sweep:
             sv = np.linalg.svd(flows0, compute_uv=False)
-            k_final = final.final.cells_total
+            k_final = trace.final.cells_total
             svd_residual = float(np.sqrt((sv[k_final:] ** 2).sum()))
-            assert final.final.loss >= svd_residual - 1e-6, (final.final.loss, svd_residual)
+            assert trace.final.loss >= svd_residual - 1e-6, (trace.final.loss, svd_residual)
 
 
-def test_criterion_4_monotone_loss(dense_bench):
+def test_criterion_4_monotone_loss(eckart_young_sweep, dense_bench):
     """Every exact-projection trace (mfci, sph, random) from the dense
     benchmark and the criterion-3 sweep is non-increasing within 1e-8."""
     with criterion(4, "monotone loss traces"):
-        assert _EXACT_TRACES, "criterion 3 must run first"
-        for trace in _EXACT_TRACES:
+        for trace, _ in eckart_young_sweep:
             assert_monotone(trace.losses())
         for run in dense_bench["runs"]:
             for key in ("exact", "sph", "random"):

@@ -1,5 +1,3 @@
-import functools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -189,17 +187,16 @@ class TestInferSph:
         calls = [r.cumulative_solver_calls for r in trace.records]
         assert calls == [1, 1, 1, 1]
 
-    def test_scoring_nonconvergence_noted(self, monkeypatch):
+    def test_scoring_nonconvergence_noted(self, monkeypatch, unconverged_solve):
         cpx = random_complex(SynthConfig(10, 0.7, 4, 1, seed=3))
         flows = sample_flows(cpx, 4, 1.0, 0.2, np.random.default_rng(0))
         cfg = SphConfig(total_cells=4, candidates_per_iteration=3)
         _, converged = infer_sph(cpx.graph, flows, cfg)
         assert all(r.notes == () for r in converged.records)
-        monkeypatch.setattr(hodge, "least_squares",
-                            functools.partial(hodge.least_squares, max_iterations=1))
+        monkeypatch.setattr(hodge, "least_squares", unconverged_solve)
         _, trace = infer_sph(cpx.graph, flows, cfg)
-        # one solver step does not finish gradient removal (record 0), and
-        # scoring solves nothing, so no later record can note it
+        # gradient removal's solve fails its check (record 0), and scoring
+        # solves nothing, so no later record can note it
         nc = ("solver-nonconverged",)
         assert [r.notes for r in trace.records] == [nc, (), (), (), ()]
 

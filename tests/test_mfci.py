@@ -409,19 +409,17 @@ class TestInferMfci:
         pytest.param(2, 2, 6, "exact", id="exact-all-added"),
     ])
     def test_scoring_nonconvergence_noted(self, candidates, added, total, projection,
-                                          monkeypatch):
+                                          monkeypatch, unconverged_solve):
         cpx = random_complex(SynthConfig(12, 0.7, 6, 1, seed=37))
         flows = sample_flows(cpx, 8, 1.0, 0.2, np.random.default_rng(9))
         cfg = InferenceConfig(total_cells=total, candidates_per_iteration=candidates,
                               added_per_iteration=added, projection=projection)
         _, converged = infer_mfci(cpx.graph, flows, cfg)
         assert all(r.notes == () for r in converged.records)
-        monkeypatch.setattr(hodge, "least_squares",
-                            functools.partial(hodge.least_squares, max_iterations=1))
+        monkeypatch.setattr(hodge, "least_squares", unconverged_solve)
         _, trace = infer_mfci(cpx.graph, flows, cfg)
-        # one solver step does not finish gradient removal (record 0), and
-        # neither scoring nor the exact update solves, so no later record
-        # can note it
+        # gradient removal's solve fails its check (record 0), and neither
+        # scoring nor the exact update solves, so no later record can note it
         nc = ("solver-nonconverged",)
         assert len(trace.records) > 2
         assert [r.notes for r in trace.records] == [nc] + [()] * (len(trace.records) - 1)
@@ -650,24 +648,23 @@ class TestReportingRecompute:
         assert trace.final.loss <= 1e-12 * trace.records[0].loss
 
     @pytest.mark.parametrize("name", sorted(REPORTED))
-    def test_reporting_nonconvergence_noted(self, name, monkeypatch):
+    def test_reporting_nonconvergence_noted(self, name, monkeypatch, unconverged_solve):
         graph, flows = self.instance()
         _, converged = REPORTED[name](graph, flows)
         assert all("report-nonconverged" not in r.notes for r in converged.records)
         flags = []
-        solve = functools.partial(hodge.least_squares, max_iterations=1)
 
-        def capped(*args, **kwargs):
-            result = solve(*args, **kwargs)
+        def flagged(*args, **kwargs):
+            result = unconverged_solve(*args, **kwargs)
             flags.append(result.converged)
             return result
 
-        monkeypatch.setattr(hodge, "least_squares", capped)
+        monkeypatch.setattr(hodge, "least_squares", flagged)
         _, trace = REPORTED[name](graph, flows)
         records = trace.records
-        # one solver step does not finish gradient removal (record 0); each
-        # later record is noted exactly when its reporting solve ran out of
-        # iterations, and the reporting solves stay out of the counts
+        # gradient removal's solve fails its check (record 0); each later
+        # record is noted exactly when its reporting solve failed its check,
+        # and the reporting solves stay out of the counts
         assert records[0].notes == ("solver-nonconverged",)
         assert len(flags) == len(records)
         noted = ["report-nonconverged" in r.notes for r in records[1:]]
