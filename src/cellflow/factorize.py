@@ -22,9 +22,9 @@ class DegenerateInput(Exception):
 
 
 _ZERO_SCALE = 1e-12
-# A FastICA deflation component stops once this many consecutive iterations
-# bring no new smallest delta: it has stalled, as components on Gaussian
-# sources, which ICA cannot separate, typically do.
+# A FastICA call stops once this many consecutive iterations bring no new
+# smallest delta (the largest over the r components): it has stalled, as
+# calls on Gaussian sources, which ICA cannot separate, typically do.
 _STALL_ITERATIONS = 20
 
 
@@ -32,9 +32,9 @@ _STALL_ITERATIONS = 20
 class Factorization:
     """Rank-r approximation ``B @ C`` of an edges-by-samples flow matrix.
 
-    ``converged`` is only meaningful for ICA: False flags that some
-    component ran out of its iteration budget or stalled (its last iterate
-    is still returned)."""
+    ``converged`` is only meaningful for ICA: False flags that the
+    iteration ran out of its budget or stalled (its last iterate is still
+    returned)."""
 
     B: np.ndarray
     C: np.ndarray
@@ -78,35 +78,50 @@ def truncated_svd(H, r):
     return Factorization(B, B.T @ H, "svd", int(r))
 
 
+def _symmetric_decorrelation(W):
+    """``(W W^T)^(-1/2) W`` through one eigendecomposition of the r x r
+    ``W W^T``: the rows of W made orthonormal, treated alike.  Eigenvalues
+    are floored at the float64 ``tiny``, so nothing divides by zero."""
+    w, U = np.linalg.eigh(W @ W.T)
+    w = np.maximum(w, np.finfo(np.float64).tiny)
+    return (U * (1.0 / np.sqrt(w))) @ U.T @ W
+
+
 def fast_ica(H, r, seed=0, max_iterations=200, tolerance=1e-4):
     """FastICA factorization: r statistically independent source rows in C and
     the matching mixing columns in B.
 
-    Log-cosh contrast, deflation, and whitening by the r leading right
-    singular directions of the raw data without sample centering (flows are
-    mean-meaningful), so ``B @ C`` reconstructs the same rank-r subspace the
-    SVD would; what changes is the basis within it.  The whitening goes
-    through the s x s Gram matrix, as ``truncated_svd`` does: with V_r the
-    r leading eigenvectors of ``H.T @ H``, the whitened samples are
-    ``Z = sqrt(s) * V_r.T`` and the mixing matrix is
-    ``B = (H @ V_r) @ W.T / sqrt(s)``, so no singular value is divided by.
+    Log-cosh contrast, symmetric (parallel) orthogonalization, and whitening
+    by the r leading right singular directions of the raw data without
+    sample centering (flows are mean-meaningful), so ``B @ C`` reconstructs
+    the same rank-r subspace the SVD would; what changes is the basis within
+    it.  The whitening goes through the s x s Gram matrix, as
+    ``truncated_svd`` does: with V_r the r leading eigenvectors of
+    ``H.T @ H``, the whitened samples are ``Z = sqrt(s) * V_r.T`` and the
+    mixing matrix is ``B = (H @ V_r) @ W.T / sqrt(s)``, so no singular value
+    is divided by.
 
-    Each component starts from a direction drawn from ``default_rng(seed)``
-    and stops once ``delta = | |w_new . w| - 1 |`` falls below
+    The r x r unmixing matrix W starts from one draw of
+    ``default_rng(seed)``, and each iteration updates all r rows together
+    by the fixed-point step ``W <- E[g(W Z) Z^T] - diag(E[g'(W Z)]) W``
+    (g = tanh), then decorrelates them symmetrically,
+    ``W <- (W W^T)^(-1/2) W`` (Hyvarinen 1999).  The call stops once the
+    largest component delta ``| |w_new . w| - 1 |`` falls below
     ``tolerance`` (converged).  It also stops, not converged, after
-    ``max_iterations`` steps, or once 20 consecutive steps bring no new
-    smallest delta: such a component has stalled, as components typically
-    do when the sources are Gaussian, since ICA cannot separate them.
-    ``converged`` is False when any component ran out of its budget or
-    stalled.  Component signs are fixed so the largest-magnitude entry of
-    each B column is positive, and columns are ordered by ascending column
-    score.  Deterministic given the seed.
+    ``max_iterations`` iterations, or once 20 consecutive iterations bring
+    no new smallest delta: such a call has stalled, as calls typically do
+    when the sources are Gaussian, since ICA cannot separate them.
+    Component signs are fixed so the largest-magnitude entry of each B
+    column is positive, and columns are ordered by ascending column score.
+    Deterministic given the seed.
     """
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
     if tolerance <= 0:
         raise ValueError("tolerance must be > 0")
-    if np.ndim(H) != 2 or np.shape(H)[1] < 2:
+    if np.ndim(H) != 2:
+        raise ValueError("flow matrix must be 2-dimensional")
+    if np.shape(H)[1] < 2:
         raise ValueError("fast_ica needs at least 2 flow samples")
     H = _check_factor_input(H, r)
     m, s = H.shape
@@ -114,45 +129,25 @@ def fast_ica(H, r, seed=0, max_iterations=200, tolerance=1e-4):
     V_r = _leading_right_vectors(H, r)
     Z = np.sqrt(s) * V_r.T
 
-    rng = np.random.default_rng(seed)
-    W = np.zeros((r, r))
-    converged = True
-    # The fixed-point step w <- E[Z g(w^T Z)] - E[g'(w^T Z)] w, written with
-    # preallocated buffers, np.add.reduce(x) / s for x.mean() and
-    # math.sqrt(w @ w) for np.linalg.norm(w), which is what mean and norm
-    # compute: the same floating-point operations in fewer calls.
-    g = np.empty(s)
-    g_prime = np.empty(s)
-    Zg = np.empty_like(Z)
-    for comp in range(r):
-        done = W[:comp]
-        done_t = done.T
-        w = rng.standard_normal(r)
-        w /= np.linalg.norm(w)
-        best, best_at = math.inf, 0
-        for step in range(max_iterations):
-            np.tanh(w @ Z, out=g)
-            np.multiply(g, g, out=g_prime)
-            np.subtract(1.0, g_prime, out=g_prime)
-            np.multiply(Z, g, out=Zg)
-            w_new = np.add.reduce(Zg, axis=1) / s - np.add.reduce(g_prime) / s * w
-            if comp:
-                w_new -= done_t @ (done @ w_new)
-            norm = math.sqrt(w_new @ w_new)
-            if norm < 1e-12:
-                w_new = rng.standard_normal(r)
-                if comp:
-                    w_new -= done_t @ (done @ w_new)
-                norm = math.sqrt(w_new @ w_new)
-            w_new /= norm
-            delta = abs(abs(w_new @ w) - 1.0)
-            w = w_new
-            if delta < best:
-                best, best_at = delta, step
-            if delta < tolerance or step - best_at == _STALL_ITERATIONS:
-                break
-        converged &= bool(delta < tolerance)
-        W[comp] = w
+    W = _symmetric_decorrelation(np.random.default_rng(seed).standard_normal((r, r)))
+    best, best_at = math.inf, 0
+    # np.add.reduce(x, axis=1) / s is what x.mean(axis=1) computes, in
+    # fewer calls; g and g' reuse one r x s buffer each.
+    g = np.empty((r, s))
+    g_prime = np.empty((r, s))
+    for step in range(max_iterations):
+        np.tanh(np.matmul(W, Z, out=g), out=g)
+        np.multiply(g, g, out=g_prime)
+        np.subtract(1.0, g_prime, out=g_prime)
+        W_new = _symmetric_decorrelation(
+            g @ Z.T / s - (np.add.reduce(g_prime, axis=1) / s)[:, None] * W)
+        delta = np.abs(np.abs(np.einsum("ij,ij->i", W_new, W)) - 1.0).max()
+        W = W_new
+        if delta < best:
+            best, best_at = delta, step
+        if delta < tolerance or step - best_at == _STALL_ITERATIONS:
+            break
+    converged = bool(delta < tolerance)
 
     C = W @ Z
     B = (H @ V_r) @ W.T / np.sqrt(s)

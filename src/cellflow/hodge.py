@@ -70,6 +70,17 @@ def _column_norms(M):
     return np.sqrt(np.einsum("ij,ij->j", M, M))
 
 
+def _gram_solve(gram, rhs):
+    """``(V_k diag(1/w_k) V_k^T) rhs`` and the rank k, for the symmetric
+    ``gram = V diag(w) V^T`` (``np.linalg.eigh``) and the k eigenvalues w_k
+    above ``_RANK_CUTOFF`` times the largest: the minimum-norm solve of the
+    normal equations whose Gram matrix and right-hand side are given."""
+    w, V = np.linalg.eigh(gram)
+    kept = w > _RANK_CUTOFF * w.max(initial=0.0)
+    V, w = V[:, kept], w[kept]
+    return V @ ((V.T @ rhs) / w[:, None]), len(w)
+
+
 def least_squares(A, Y, tally=None):
     """Minimum-norm least-squares solve of ``A x = y`` for every column of Y.
 
@@ -102,10 +113,7 @@ def least_squares(A, Y, tally=None):
     Y = np.asarray(Y, dtype=np.float64).reshape(shape[0], -1)
     At = A.T.tocsr()
     AtY = At @ Y
-    w, V = np.linalg.eigh((At @ A).toarray())
-    kept = w > _RANK_CUTOFF * w.max(initial=0.0)
-    V, w = V[:, kept], w[kept]
-    X = V @ ((V.T @ AtY) / w[:, None])
+    X, _ = _gram_solve((At @ A).toarray(), AtY)
     floor = _ROUNDING_FLOOR * float(np.sqrt((A.data**2).sum())) * _column_norms(Y)
     target = np.maximum(_RESIDUAL_TOLERANCE * _column_norms(AtY), floor)
     ok = _column_norms(At @ (A @ X - Y)) <= target
@@ -336,24 +344,30 @@ def approx_harmonic_update(h_prev, chosen, fact):
     harmonic flows the part of the factorization product that lies in the
     span of the chosen boundary vectors.
 
-    The projector is built from one small dense least-squares solve against
-    the edges-by-chosen matrix; it does not go through ``least_squares``
-    and is not counted as a solver call.
+    With ``bhat`` the edges-by-chosen matrix of those boundaries, the
+    projection of ``B @ C`` onto its span is ``bhat @ X`` for the
+    minimum-norm solution X of the normal equations
+    ``(bhat^T bhat) X = (bhat^T B) C``.  The l' x l' Gram matrix holds exact
+    integers, and the right-hand side is formed in the factor's rank-r
+    space, so the edges-by-samples product ``B @ C`` is never formed.  The
+    solve shares ``least_squares``' eigendecomposition and rank cutoff, but
+    it does not go through ``least_squares`` and is not counted as a solver
+    call.
 
     Returns
     -------
     ApproxUpdateResult
         Updated flows, plus ``degenerate_span=True`` when the chosen
-        boundaries were linearly dependent (the projector then acts on the
-        independent subset, which the minimum-norm solve yields anyway).
+        boundaries were linearly dependent: their Gram matrix has rank
+        below l' by that cutoff (the projector then acts on the independent
+        subset, which the minimum-norm solve yields anyway).
     """
     if not chosen:
         raise ValueError("chosen must be nonempty")
     h_prev = np.asarray(h_prev, dtype=np.float64)
-    bhat = np.stack([c.dense() for c in chosen], axis=1)
-    product = fact.B @ fact.C
-    if product.shape != h_prev.shape:
+    if (fact.B.shape[0], fact.C.shape[1]) != h_prev.shape:
         raise ValueError("factorization shape does not match the flows")
-    coeff, _, rank, _ = np.linalg.lstsq(bhat, product, rcond=None)
+    bhat = np.stack([c.dense() for c in chosen], axis=1)
+    coeff, rank = _gram_solve(bhat.T @ bhat, (bhat.T @ fact.B) @ fact.C)
     updated = h_prev - bhat @ coeff
-    return ApproxUpdateResult(updated, bool(rank < bhat.shape[1]))
+    return ApproxUpdateResult(updated, rank < bhat.shape[1])

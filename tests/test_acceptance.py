@@ -32,12 +32,19 @@ from cellflow.synth import SynthConfig, random_complex, sample_flows
 
 @contextmanager
 def criterion(number, name):
+    """Print the criterion's PASS/FAIL line, followed by the margins (short
+    strings) that the body appended to the yielded list."""
+    margins = []
     try:
-        yield
+        yield margins
     except BaseException:
-        print(f"\n[criterion {number}] {name}: FAIL")
+        print(f"\n[criterion {number}] {name}: FAIL{_shown(margins)}")
         raise
-    print(f"\n[criterion {number}] {name}: PASS")
+    print(f"\n[criterion {number}] {name}: PASS{_shown(margins)}")
+
+
+def _shown(margins):
+    return f" ({', '.join(margins)})" if margins else ""
 
 
 def assert_monotone(losses, tol=1e-8):
@@ -225,7 +232,7 @@ def test_criterion_5_speed_separation(dense_bench):
     cumulative solver call, runs faster than sph with 11 candidates at the
     same k=50  budget, and its final loss beats the random baseline
     (medians over 5 seeds).  Budget: under ten minutes."""
-    with criterion(5, "speed separation on the dense benchmark"):
+    with criterion(5, "speed separation on the dense benchmark") as margins:
         fast_losses, rand_losses, fast_secs, sph_secs = [], [], [], []
         for run in dense_bench["runs"]:
             final = run["fast"].final
@@ -235,6 +242,9 @@ def test_criterion_5_speed_separation(dense_bench):
             rand_losses.append(run["random"].final.loss)
             fast_secs.append(final.cumulative_seconds)
             sph_secs.append(run["sph"].final.cumulative_seconds)
+        margins += [f"max(fast) {max(fast_secs):.3f} s", f"min(sph) {min(sph_secs):.3f} s",
+                    f"median fast {np.median(fast_secs):.3f} s",
+                    f"median sph {np.median(sph_secs):.3f} s"]
         assert np.median(fast_secs) < np.median(sph_secs)
         assert max(fast_secs) < min(sph_secs)  # separation is not marginal
         assert np.median(fast_losses) <= np.median(rand_losses)
@@ -286,13 +296,16 @@ def test_criterion_7_approximate_update_fidelity(dense_bench):
     """For the no-evaluation mfci configuration, approximate-projection
     final loss stays within 5% of the exact-projection final loss (median
     over 5 seeds) while running strictly faster."""
-    with criterion(7, "approximate-update fidelity"):
+    with criterion(7, "approximate-update fidelity") as margins:
         ratios, fast_secs, exact_secs = [], [], []
         for run in dense_bench["runs"]:
             ratios.append(run["fast"].final.loss / run["exact"].final.loss)
             fast_secs.append(run["fast"].final.cumulative_seconds)
             exact_secs.append(run["exact"].final.cumulative_seconds)
         median_ratio = float(np.median(ratios))
+        margins += [f"median fast {np.median(fast_secs):.3f} s",
+                    f"median exact {np.median(exact_secs):.3f} s",
+                    f"loss ratio {median_ratio:.4f}"]
         assert abs(median_ratio - 1.0) <= 0.05, ratios
         assert np.median(fast_secs) < np.median(exact_secs)
 

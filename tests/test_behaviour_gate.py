@@ -76,3 +76,20 @@ def test_an_option_is_not_taken_for_an_out_dir(tmp_path, monkeypatch):
     assert stop.value.code not in (0, None)
     assert str(stop.value).startswith("usage: trace_digest.py OUT_DIR")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_compare_counts_the_differing_files_of_each_run(tmp_path, capsys):
+    digest = load_trace_digest()
+    for side in ("a", "b"):
+        for group in ("dense", "cli"):
+            (tmp_path / side / group).mkdir(parents=True)
+        for name in ("fast", "exact", "sph"):
+            for seed in range(3):
+                changed = side == "b" and (name == "exact" or (name == "fast" and seed < 2))
+                text = f"{name} {seed}{' changed' if changed else ''}\n"
+                (tmp_path / side / "dense" / f"{name}_seed{seed}.cells").write_text(text)
+        (tmp_path / side / "cli" / "eval.loss").write_text("1.0\n")
+    assert digest.compare(tmp_path / "a", tmp_path / "b") == 1
+    out = capsys.readouterr().out
+    assert "dense: 9 files, 5 differ (exact 3, fast 2), largest" in out
+    assert "cli: 1 files, 0 differ, largest" in out

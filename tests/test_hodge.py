@@ -351,6 +351,45 @@ class TestApproxHarmonicUpdate:
         assert out.degenerate_span
         assert np.abs(out.flows).max() < 1e-12
 
+    @staticmethod
+    def _assert_matches_lstsq(h_prev, chosen, fact):
+        # The update through np.linalg.lstsq on the edges-by-chosen matrix
+        # and the whole product B @ C, with lstsq's own rank for the flag.
+        bhat = np.stack([c.dense() for c in chosen], axis=1)
+        coeff, _, rank, _ = np.linalg.lstsq(bhat, fact.B @ fact.C, rcond=None)
+        projected = bhat @ coeff
+        out = approx_harmonic_update(h_prev, chosen, fact)
+        assert np.linalg.norm((h_prev - out.flows) - projected) <= \
+            1e-12 * np.linalg.norm(projected)
+        assert out.degenerate_span == (rank < bhat.shape[1])
+        return out
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_lstsq_on_random_chosen_sets(self, seed):
+        # Eight random tree cells; on odd seeds the last repeats the first,
+        # so the span is degenerate there.
+        rng = np.random.default_rng(seed)
+        graph = random_complex(SynthConfig(16, 0.5, 1, 1, seed=200 + seed)).graph
+        chosen = [random_tree_cell(graph, rng) for _ in range(8)]
+        if seed % 2:
+            chosen[-1] = chosen[0]
+        m, s = graph.edge_count, 12
+        fact = Factorization(rng.standard_normal((m, 8)), rng.standard_normal((8, s)), "ica", 8)
+        out = self._assert_matches_lstsq(rng.standard_normal((m, s)), chosen, fact)
+        assert out.degenerate_span == bool(seed % 2)
+
+    def test_matches_lstsq_on_dependent_sets(self):
+        rng = np.random.default_rng(34)
+        b = validate_cycle(t3(), [0, 1, 2, 0])
+        fact = Factorization(rng.standard_normal((3, 2)), rng.standard_normal((2, 5)), "ica", 2)
+        assert self._assert_matches_lstsq(rng.standard_normal((3, 5)), [b, -b],
+                                          fact).degenerate_span
+        cycles = ([0, 1, 2, 0], [0, 1, 3, 0], [0, 2, 3, 0], [1, 2, 3, 1])
+        triangles = [validate_cycle(k4(), cycle) for cycle in cycles]
+        fact = Factorization(rng.standard_normal((6, 3)), rng.standard_normal((3, 5)), "ica", 3)
+        assert self._assert_matches_lstsq(rng.standard_normal((6, 5)), triangles,
+                                          fact).degenerate_span
+
     def test_matches_exact_update_when_span_covers_product(self):
         # oracle check on small constructed cases: if the factorization
         # product lies in the span of the chosen cells plus a residual that

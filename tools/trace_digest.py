@@ -43,8 +43,11 @@ Compare two digests with::
 
     python3 tools/trace_digest.py --compare A B
 
-It prints, per group, how many files differ and the largest relative gap
-between matching losses, and lists every failing file; a differing
+It prints, per group, how many files differ, how many of them belong to
+each run (the file name without its suffix and a trailing ``_seed<N>``,
+so ``dense: 100 files, 36 differ (exact 19, fast 17)`` counts seeds
+together), and the largest relative gap between matching losses, and
+lists every failing file; a differing
 ``.csv`` is listed with the header columns it differs in (``FAIL
 dense/sph_seed0.csv: differs in cumulative_solver_iterations``).  It
 exits 1 if a file exists on one side only, if any file but a ``.losses``
@@ -69,6 +72,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -258,17 +262,25 @@ def _csv_difference(left, right):
     return f"in {', '.join(columns)}" if columns else None
 
 
+def _run_of(name):
+    """The run a digest file belongs to: its name without the group, the
+    suffix and a trailing ``_seed<N>`` (``dense/fast_seed3.csv`` -> ``fast``)."""
+    return re.sub(r"_seed\d+$", "", name.rsplit("/", 1)[-1].rsplit(".", 1)[0])
+
+
 def compare_manifests(left, right, labels, detail=None):
     """Apply the comparison rule (see the module docstring) to two
     manifests, named by ``labels`` in messages; returns ``(groups,
     failures)``: per top-level group the file count, the differing files
-    and the largest loss gap, and one message per failing file.
+    (also per run, under ``"runs"``) and the largest loss gap, and one
+    message per failing file.
     ``detail(name)``, when given, may return a few words on how a
     differing non-loss file differs, which its message then carries."""
     failures = []
     groups = {}
     for name in sorted(left.keys() | right.keys()):
-        group = groups.setdefault(name.split("/")[0], {"files": 0, "differ": 0, "gap": 0.0})
+        group = groups.setdefault(name.split("/")[0],
+                                  {"files": 0, "differ": 0, "runs": {}, "gap": 0.0})
         group["files"] += 1
         if name not in left or name not in right:
             failures.append(f"{name}: only in {labels[0] if name in left else labels[1]}")
@@ -276,6 +288,8 @@ def compare_manifests(left, right, labels, detail=None):
         if left[name] == right[name]:
             continue
         group["differ"] += 1
+        run = _run_of(name)
+        group["runs"][run] = group["runs"].get(run, 0) + 1
         gap = _loss_gap(left[name], right[name]) if name.endswith(".losses") else None
         if gap is None:
             how = detail(name) if detail else None
@@ -295,8 +309,9 @@ def compare(a, b):
 
     groups, failures = compare_manifests(manifest(a), manifest(b), (a, b), detail)
     for name, group in groups.items():
-        print(f"{name}: {group['files']} files, {group['differ']} differ, "
-              f"largest relative loss gap {group['gap']:.3g}")
+        runs = ", ".join(f"{run} {count}" for run, count in sorted(group["runs"].items()))
+        print(f"{name}: {group['files']} files, {group['differ']} differ"
+              f"{f' ({runs})' if runs else ''}, largest relative loss gap {group['gap']:.3g}")
     for failure in failures:
         print(f"FAIL {failure}")
     return 1 if failures else 0
