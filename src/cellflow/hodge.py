@@ -8,8 +8,11 @@ against the incidence or boundary matrix.  Candidate scoring and the
 harmonic updates of the greedy loops instead run against a dense
 orthonormal basis of the curl span (``curl_basis``), which a loop extends
 by one direction per added cell (``RankOneScores.basis_after``), so they
-need no solve at all.  Inside a loop, then, only gradient removal solves;
-the reporting recompute of the loops that carry no exact flows
+need no solve at all.  Scoring computes an exact candidate loss (an
+m x s pass) only where it can decide a pick: ``RankOneScores.best``
+screens by a closed form that needs no pass, and a caller that adds given
+candidates computes no loss.  Inside a loop, then, only gradient removal
+solves; the reporting recompute of the loops that carry no exact flows
 (``grown_harmonic``) solves after the loop's clock has stopped.
 
 ``least_squares`` is the one solve: a direct minimum-norm solve through the
@@ -23,6 +26,7 @@ solve whose residual check failed.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -204,33 +208,102 @@ def _guarded_directions(boundaries, bh, h):
     return bh, weights
 
 
-class RankOneScores(NamedTuple):
+def _exact_losses(flows, directions, weights, indices):
+    """``||h - b_h c||`` of each candidate in ``indices``, computed as the
+    np.outer formula computes it (the same elementwise operations, through
+    one reused buffer, without a temporary per candidate)."""
+    residual = np.empty(flows.shape)
+    losses = np.empty(len(indices))
+    for k, i in enumerate(indices):
+        np.multiply(directions[:, i, None], weights[i], out=residual)
+        np.subtract(flows, residual, out=residual)
+        losses[k] = np.linalg.norm(residual)
+    return losses
+
+
+def _screen_error(m, s):
+    """A bound, relative to ||h||, on how far the closed-form loss of
+    ``RankOneScores.best`` can fall from the exact loss, for m edges and s
+    samples (see ``RankOneScores.best``)."""
+    n = m * s + m + s + 5
+    unit = np.finfo(np.float64).eps / 2
+    return 3.0 * np.sqrt(n * unit / (1.0 - n * unit))
+
+
+class RankOneScores:
     """Per-candidate scores from ``rank_one_scores``.
 
-    ``losses[i]`` is the loss after adding candidate i alone, ``directions``
-    holds each candidate's boundary minus its curl projection (b_h, one
-    column each; zero for a candidate already in the curl span) and
-    ``weights`` the matching least-squares coefficients (c, one row each).
-    ``unchanged`` is the loss before any addition, ||h||.  Scoring runs no
-    solve, so there is nothing to count or to fail to converge.
+    ``losses[i]`` is the loss after adding candidate i alone, computed on
+    first read; ``directions`` holds each candidate's boundary minus its
+    curl projection (b_h, one column each; zero for a candidate already in
+    the curl span) and ``weights`` the matching least-squares coefficients
+    (c, one row each).  ``unchanged`` is the loss before any addition,
+    ||h||.  Scoring runs no solve, so there is nothing to count or to fail
+    to converge.  Only ``best`` needs losses, and it computes the exact
+    loss only of the candidates that can decide its picks, so a caller
+    that takes given picks (``harmonic_after``, ``basis_after``) pays for
+    no loss at all.
     """
 
-    losses: np.ndarray
-    directions: np.ndarray
-    weights: np.ndarray
-    unchanged: float
+    def __init__(self, flows, directions, weights):
+        self._flows = flows
+        self.directions = directions
+        self.weights = weights
+        self.unchanged = float(np.linalg.norm(flows))
+
+    @functools.cached_property
+    def losses(self):
+        return _exact_losses(self._flows, self.directions, self.weights,
+                             range(self.directions.shape[1]))
 
     def best(self, count):
-        """Indices of the ``count`` lowest losses, best first.  Losses within
-        1e-9 ||h|| of the lowest remaining one are ties, and ties go to the
-        earlier candidate.  The band scales with the unchanged loss, not the
-        best one, so candidates that fit exactly (loss 0) still tie."""
+        """Indices of the ``count`` lowest losses, best first; none when
+        ``count`` < 1.  Losses within 1e-9 ||h|| of the lowest remaining one
+        are ties, and ties go to the earlier candidate.  The band scales with
+        the unchanged loss, not the best one, so candidates that fit exactly
+        (loss 0) still tie.
+
+        The exact losses decide, but only the candidates that can be picked
+        get one.  Each candidate is screened first by the closed form
+        ``sqrt(max(||h||^2 - ||b_h||^2 ||c||^2, 0))``, which equals its loss
+        in exact arithmetic since c = b_h^T h / ||b_h||^2.  In floating
+        point the two forms stay within ``E = 3 sqrt(gamma_N) ||h||`` of
+        each other, with gamma_N = N u / (1 - N u) (Higham, *Accuracy and
+        Stability of Numerical Algorithms*, 2nd ed., 2002, sec. 3.1), u the
+        unit roundoff and N = m s + m + s + 5 for m edges and s samples:
+        the sums of squares (m s terms in ||h||^2 and the loop's norm, m in
+        ||b_h||^2, s in ||c||^2) and the m-term products b_h^T h behind c
+        move the closed form's square by at most about 7 gamma_N ||h||^2,
+        hence its value by sqrt(7 gamma_N) ||h||, and the loop by a few
+        gamma_N ||h||.  The closed form cancels when a candidate fits
+        almost exactly (h = b c^T + 1e-9 noise gives 0 where the loop gives
+        about 2e-9 ||h||), so a bound of order sqrt(u) is needed, not one of
+        order u.  A candidate whose closed form exceeds the count-th
+        smallest one by more than the band plus 2E has an exact loss more
+        than the band above the count-th smallest exact loss, so the rule
+        can never pick it and it never sets the floor.  The survivors get
+        their exact loss, and the rule runs over them in index order: the
+        picks are those of the rule over every exact loss.
+        """
+        n = self.directions.shape[1]
+        if count < 1:
+            return []
         band = 1e-9 * self.unchanged
-        remaining = list(range(len(self.losses)))
+        survivors = range(n)
+        if count < n:
+            bh_squared = np.einsum("ij,ij->j", self.directions, self.directions)
+            c_squared = np.einsum("ij,ij->i", self.weights, self.weights)
+            closed = np.sqrt(np.maximum(self.unchanged**2 - bh_squared * c_squared, 0.0))
+            error = _screen_error(*self._flows.shape) * self.unchanged
+            threshold = np.partition(closed, count - 1)[count - 1] + band + 2 * error
+            survivors = np.flatnonzero(closed <= threshold).tolist()
+        losses = dict(zip(survivors, _exact_losses(self._flows, self.directions,
+                                                   self.weights, survivors)))
+        remaining = list(survivors)
         picked = []
         while remaining and len(picked) < count:
-            floor = min(self.losses[i] for i in remaining)
-            pick = next(i for i in remaining if self.losses[i] <= floor + band)
+            floor = min(losses[i] for i in remaining)
+            pick = next(i for i in remaining if losses[i] <= floor + band)
             remaining.remove(pick)
             picked.append(pick)
         return picked
@@ -272,7 +345,7 @@ def _remove_directions(flows_h, directions, weights, picks):
 
 def rank_one_scores(basis, flows_h, candidates):
     """Score every candidate cell by the exact loss of the complex with that
-    cell added, with no solve.
+    cell added, with no solve (see ``RankOneScores``).
 
     ``basis`` is an orthonormal basis of the complex's curl span
     (``curl_basis``, or one that ``RankOneScores.basis_after`` grew) and
@@ -280,8 +353,12 @@ def rank_one_scores(basis, flows_h, candidates):
     b moves h to ``h - b_h c`` with ``b_h = b - Q Q^T b``, formed twice for
     orthogonality, and ``c = b_h^T h / ||b_h||^2``.  A candidate already in
     the curl span (``||b_h|| <= 1e-10 ||b||``) scores the unchanged loss and
-    gets a zero direction.
+    gets a zero direction.  No loss is computed here: ``RankOneScores``
+    computes ``losses`` on first read, and ``best`` only those that can
+    decide its picks.  An empty ``candidates`` raises ``ValueError``.
     """
+    if not candidates:
+        raise ValueError("candidates must be nonempty")
     flows_h = np.asarray(flows_h, dtype=np.float64)
     h = flows_h.reshape(flows_h.shape[0], -1)
     boundaries = np.stack([cell.dense() for cell in candidates], axis=1)
@@ -289,15 +366,7 @@ def rank_one_scores(basis, flows_h, candidates):
     for _ in range(2):
         bh = bh - basis @ (basis.T @ bh)
     bh, weights = _guarded_directions(boundaries, bh, h)
-    # ||h - outer(b_h, c)|| through one reused buffer: the same elementwise
-    # operations as the np.outer formula, without a temporary per candidate.
-    residual = np.empty(h.shape)
-    losses = np.empty(bh.shape[1])
-    for i in range(bh.shape[1]):
-        np.multiply(bh[:, i, None], weights[i], out=residual)
-        np.subtract(h, residual, out=residual)
-        losses[i] = np.linalg.norm(residual)
-    return RankOneScores(losses, bh, weights, float(np.linalg.norm(h)))
+    return RankOneScores(h, bh, weights)
 
 
 def grown_harmonic(before, after, flows_h, tally=None):

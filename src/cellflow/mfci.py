@@ -216,6 +216,15 @@ def candidate_search(complex_, flows_h, cfg, rng):
     """One candidate-search pass: factor the harmonic flows at rank r, keep
     the l best-scoring columns, and discretize each into a cell.
 
+    Column scores (``column_scores``) decide which columns are kept when
+    l < r, and with evaluation off their order is the order in which cells
+    are added and truncated.  An evaluated search (l' < l) that keeps every
+    column (l = r) has nothing for them to decide: it takes the SVD
+    columns in the SVD's order and scores none.  The picks then differ from
+    a scored order only where candidates tie within evaluation's band,
+    duplicates included (the first of two copies is the one kept, so its
+    sign can differ), and random walks draw in the SVD's column order.
+
     Random walks that fail (``WalkFailed``) and duplicates (within the batch
     or of cells already in the complex, up to sign) are dropped, so fewer
     than l candidates may come back.  Returns ``(candidates, factorization)``; the
@@ -233,6 +242,11 @@ def candidate_search(complex_, flows_h, cfg, rng):
     if cfg.method == "ica":
         fact = fast_ica(flows_h, cfg.rank, seed=int(rng.integers(2**63)))
         # fast_ica already orders its columns by ascending column score.
+        columns = [fact.B[:, j].copy() for j in range(l)]
+    elif cfg.evaluate_candidates and l == cfg.rank:
+        # Every column is kept and evaluation picks among the cells, so
+        # scores would only sort them: take the SVD's order.
+        fact = truncated_svd(flows_h, l)
         columns = [fact.B[:, j].copy() for j in range(l)]
     else:
         fact = truncated_svd(flows_h, cfg.rank)
@@ -264,12 +278,14 @@ def evaluate_and_select(basis, flows_h, candidates, count, cfg):
     exact loss of the complex with that single cell added, all of them
     against the basis with no solve (``hodge.rank_one_scores``), and the
     lowest losses win; losses within 1e-9 of ||flows_h|| count as ties,
-    which go to candidate order.  With evaluation off the leading ``count``
-    candidates are the picks.  Given a basis, ``after`` and ``basis_after``
-    are the exact harmonic flows and the curl basis of the complex with all
-    the chosen cells added, both taken from the picks' scoring directions;
-    without one they are None.  Fewer candidates than ``count`` simply all
-    pass.
+    which go to candidate order.  ``RankOneScores.best`` computes the exact
+    loss only of the candidates that a closed-form screen leaves in the
+    running.  With evaluation off the leading ``count`` candidates are the
+    picks, and no loss is computed.  Given a basis, ``after`` and
+    ``basis_after`` are the exact harmonic flows and the curl basis of the
+    complex with all the chosen cells added, both taken from the picks'
+    scoring directions; without one they are None.  Fewer candidates than
+    ``count`` simply all pass.
     """
     if basis is None and not cfg.evaluate_candidates:
         return list(candidates[:count]), None, None

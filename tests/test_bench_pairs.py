@@ -24,8 +24,12 @@ print("workload stub")
 print(json.dumps({"environment": {"nproc": 2}, "runs": []}))
 correct = not (checkout / "incorrect").exists()
 loss = float((checkout / "loss").read_text())
-print(json.dumps({"correct": correct, "attempted": 4, "failed": 0, "metrics": {
-    "fast_s": {"value": value, "unit": "s"}, "fast_loss": {"value": loss, "unit": "ratio"}}}))
+metrics = {"fast_s": {"value": value, "unit": "s"}, "fast_loss": {"value": loss, "unit": "ratio"}}
+sph = checkout / "sph.json"
+if sph.exists():
+    metrics["sph_s"] = {"value": json.loads(sph.read_text())[runs.count(checkout.name) - 1],
+                        "unit": "s"}
+print(json.dumps({"correct": correct, "attempted": 4, "failed": 0, "metrics": metrics}))
 '''
 
 BENCHMARK = {"end_to_end": [
@@ -34,11 +38,13 @@ BENCHMARK = {"end_to_end": [
 ]}
 
 
-def stub_checkout(root, name, values, correct=True, loss=1.5):
+def stub_checkout(root, name, values, correct=True, loss=1.5, sph=None):
     checkout = root / name
     (checkout / "perfbench").mkdir(parents=True)
     (checkout / "perfbench" / "run.py").write_text(STUB)
     (checkout / "values.json").write_text(json.dumps(values))
+    if sph is not None:
+        (checkout / "sph.json").write_text(json.dumps(sph))
     (checkout / "loss").write_text(str(loss))
     (checkout / "BENCHMARK.json").write_text(json.dumps(BENCHMARK))
     if not correct:
@@ -84,6 +90,8 @@ def test_pairs_report_and_rule(tmp_path, parent, change, passes):
     assert report["failed_calls"] == 0
     assert all(pair["change_correct"] is True for pair in workload["pairs"])
     assert report["incorrect_runs"] == 0
+    # the stub reports no sph_s, so there is no sph_s / fast_s ratio
+    assert workload["sph_s_per_fast_s"] is None and "sph_s / fast_s" not in done.stdout
 
 
 def test_incorrect_run_fails_with_no_failed_call(tmp_path):
@@ -121,3 +129,17 @@ def test_regression_beyond_bound_fails(tmp_path, claim, change_loss, regressed):
     assert check["limit"] == 1.875 and check["regressed"] is regressed
     assert report["bounds"]["small.fast_s"]["regressed"] is False
     assert report["regressed"] == (["small.fast_loss"] if regressed else [])
+
+
+def test_sph_per_fast_ratio_per_side(tmp_path):
+    # sph_s / fast_s per run: parent 3, 2, 4, 3 (median 3), change 2, 1,
+    # 1.5, 2.5 (median 1.75)
+    out = tmp_path / "report.json"
+    done = run_tool(tmp_path, stub_checkout(tmp_path, "parent", [0.01, 0.02, 0.01, 0.02],
+                                            sph=[0.03, 0.04, 0.04, 0.06]),
+                    stub_checkout(tmp_path, "change", [0.01, 0.02, 0.01, 0.02],
+                                  sph=[0.02, 0.02, 0.015, 0.05]), out, ())
+    assert done.returncode == 0, done.stderr
+    report = json.loads(out.read_text())
+    assert report["workloads"]["small"]["sph_s_per_fast_s"] == {"parent": 3.0, "change": 1.75}
+    assert "small: median sph_s / fast_s: parent 3, change 1.75" in done.stdout.splitlines()

@@ -467,6 +467,103 @@ class TestCurlBasis:
         assert_same_projector(basis, curl_basis(planted))
 
 
+def reference_best(losses, unchanged, count):
+    """The pick rule of ``RankOneScores.best`` run over every exact loss, as
+    it was before the closed-form screen: the reference the screened rule
+    must match."""
+    band = 1e-9 * unchanged
+    remaining = list(range(len(losses)))
+    picked = []
+    while remaining and len(picked) < count:
+        floor = min(losses[i] for i in remaining)
+        pick = next(i for i in remaining if losses[i] <= floor + band)
+        remaining.remove(pick)
+        picked.append(pick)
+    return picked
+
+
+def count_exact_losses(monkeypatch):
+    """Count, in a one-item list, the exact candidate losses computed from
+    now on."""
+    counted = [0]
+    original = hodge._exact_losses
+
+    def counting(flows, directions, weights, indices):
+        counted[0] += len(indices)
+        return original(flows, directions, weights, indices)
+    monkeypatch.setattr(hodge, "_exact_losses", counting)
+    return counted
+
+
+def planted_prefix_case(s, candidates=lambda rest, before: rest, flows=None):
+    planted = random_complex(SynthConfig(16, 0.6, 9, 1, seed=14))
+    before = CellComplex(planted.graph, planted.cells[:3])
+    rest = list(planted.cells[3:])
+    rng = np.random.default_rng(7)
+    F = rng.standard_normal((planted.graph.edge_count, s)) if flows is None else flows(rest, rng)
+    h = harmonic_projection(before, remove_gradient(planted.graph, F))
+    return curl_basis(before), h, candidates(rest, before)
+
+
+def two_triangles_within(delta):
+    """Two edge-disjoint triangles and flows along both, the second's
+    ``1 + delta`` times as strong: adding the second leaves a loss lower by
+    about delta / sqrt(2) ||h||."""
+    g = OrientedGraph(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5)])
+    left, right = validate_cycle(g, [0, 1, 2, 0]), validate_cycle(g, [3, 4, 5, 3])
+    c = np.random.default_rng(11).standard_normal(4)
+    h = np.outer(left.dense(), c) + np.outer(right.dense(), (1 + delta) * c)
+    return curl_basis(CellComplex(g)), h, [left, right]
+
+
+def k4_near_exact_tie():
+    """Flows along tri2 plus 1e-9 noise with tri1 in the complex: tri2 and
+    the square tri1 + tri2 both fit them to the noise."""
+    g, tri1, tri2, square = k4_square_and_triangles()
+    cpx = CellComplex(g, [tri1])
+    rng = np.random.default_rng(12)
+    F = np.outer(tri2.dense(), rng.standard_normal(3)) + 1e-9 * rng.standard_normal((6, 3))
+    h = harmonic_projection(cpx, remove_gradient(g, F))
+    return curl_basis(cpx), h, [tri2, square, validate_cycle(g, [0, 1, 3, 0])]
+
+
+def cancelling_near_exact_fits():
+    """Two directions a and a + kappa w (w orthogonal to a) that both fit h
+    to about 1e-9 ||h||, the second more closely, and by more than the tie
+    band: exact losses 3.4e-9 and 1.5e-9 ||h||.  Both closed forms cancel,
+    to 0 and 1.6e-8 ||h||, so a screen by the band alone keeps only the
+    first and picks it; the rule over the exact losses picks the second."""
+    rng = np.random.default_rng(18)
+    a, w = rng.standard_normal(12), rng.standard_normal(12)
+    c, f = rng.standard_normal(3), rng.standard_normal(3)
+    w -= a * (a @ w) / (a @ a)
+    f -= c * (c @ f) / (c @ c)
+    w, f = w / np.linalg.norm(w), f / np.linalg.norm(f)
+    scale = np.linalg.norm(a) * np.linalg.norm(c)
+    kappa = 3e-9 * np.linalg.norm(a)
+    h = np.outer(a + kappa * w, c) + 1.5e-9 * scale * np.outer(w, f)
+    directions = np.stack([a, a + kappa * w], axis=1)
+    return hodge.RankOneScores(h, *hodge._guarded_directions(directions, directions, h))
+
+
+# case -> RankOneScores, for the screened-best reference test
+SCREEN_CASES = {
+    "planted prefix, s=1": lambda: rank_one_scores(*planted_prefix_case(1)),
+    "planted prefix, s=5": lambda: rank_one_scores(*planted_prefix_case(5)),
+    "near-exact fit": lambda: rank_one_scores(*planted_prefix_case(
+        4, flows=lambda rest, rng: (np.outer(rest[0].dense(), rng.standard_normal(4))
+                                    + 1e-9 * rng.standard_normal((len(rest[0].dense()), 4))))),
+    "near-exact fit, k4 tie": lambda: rank_one_scores(*k4_near_exact_tie()),
+    "cancelling near-exact fits": cancelling_near_exact_fits,
+    "within the band": lambda: rank_one_scores(*two_triangles_within(7e-10)),
+    "outside the band": lambda: rank_one_scores(*two_triangles_within(3e-9)),
+    "in the curl span": lambda: rank_one_scores(*planted_prefix_case(
+        3, candidates=lambda rest, before: rest + [-before.cells[0], before.cells[2]])),
+    "duplicated": lambda: rank_one_scores(*planted_prefix_case(
+        3, candidates=lambda rest, before: rest[:3] + [rest[1], -rest[1]] + rest[3:])),
+}
+
+
 def forbidden_solve(*args, **kwargs):
     raise AssertionError("scoring ran a least-squares solve")
 
@@ -531,6 +628,57 @@ class TestRankOneScores:
         expected = [np.linalg.norm(h2 - np.outer(scores.directions[:, i], scores.weights[i]))
                     for i in range(len(candidates))]
         assert scores.losses.tolist() == expected
+
+    def test_empty_candidates_rejected(self):
+        before, h, _ = self.planted_prefix_and_rest(2)
+        with pytest.raises(ValueError, match="candidates must be nonempty"):
+            rank_one_scores(curl_basis(before), h, [])
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_best_below_one_is_empty(self, count, monkeypatch):
+        before, h, candidates = self.planted_prefix_and_rest(2)
+        scores = rank_one_scores(curl_basis(before), h, candidates)
+        counted = count_exact_losses(monkeypatch)
+        assert scores.best(count) == [] and counted == [0]
+
+    def test_best_computes_exact_losses_only_for_survivors(self, monkeypatch):
+        before, h, candidates = self.planted_prefix_and_rest(5)
+        scores = rank_one_scores(curl_basis(before), h, candidates)
+        counted = count_exact_losses(monkeypatch)
+        picks = scores.best(1)
+        assert 1 <= counted[0] < len(candidates)
+        assert picks == reference_best(scores.losses, scores.unchanged, 1)
+
+    @pytest.mark.parametrize("case", sorted(SCREEN_CASES))
+    def test_screened_best_equals_the_rule_over_every_loss(self, case):
+        scores = SCREEN_CASES[case]()
+        for count in range(scores.directions.shape[1] + 2):
+            assert scores.best(count) == reference_best(scores.losses, scores.unchanged, count)
+
+    def test_screen_cases_are_what_they_claim(self):
+        def closed(scores):
+            d, w = scores.directions, scores.weights
+            fitted = np.einsum("ij,ij->j", d, d) * np.einsum("ij,ij->i", w, w)
+            return np.sqrt(np.maximum(scores.unchanged**2 - fitted, 0))
+
+        # near-exact fits: a closed form cancels to below the loop's loss by
+        # more than the tie band
+        scores = SCREEN_CASES["near-exact fit"]()
+        assert scores.losses[0] - closed(scores)[0] > 1e-9 * scores.unchanged
+        scores = SCREEN_CASES["cancelling near-exact fits"]()
+        assert closed(scores)[1] - closed(scores)[0] > 1e-9 * scores.unchanged
+        assert scores.losses[0] - scores.losses[1] > 1e-9 * scores.unchanged
+        assert scores.best(1) == [1]
+        assert SCREEN_CASES["near-exact fit, k4 tie"]().best(1) == [0]
+        # a gap inside the band ties and goes to the earlier candidate; one
+        # outside it picks the lower loss
+        for case, pick in (("within the band", 0), ("outside the band", 1)):
+            scores = SCREEN_CASES[case]()
+            gap = (scores.losses[0] - scores.losses[1]) / scores.unchanged
+            assert 0 < gap and (gap < 1e-9) == (pick == 0)
+            assert scores.best(1) == [pick]
+        scores = SCREEN_CASES["in the curl span"]()
+        assert (scores.losses[-2:] == scores.unchanged).all()
 
     @pytest.mark.parametrize("added", [1, 4])
     def test_grown_harmonic_is_harmonic_after_all_new_cells(self, added):

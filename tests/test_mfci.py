@@ -226,6 +226,40 @@ class TestCandidateSearch:
         assert calls["fast_ica"] >= len(trace.records) - 1 >= 2
         assert calls["column_scores"] == calls["fast_ica"]
 
+    @staticmethod
+    def svd_order_against_score_order():
+        """Disjoint triangles and flows whose SVD order is the reverse of
+        their column-score order: the left triangle carries one strong
+        sample (Frobenius norm 17.3, L1 30), the right one 15 weaker ones
+        (13.4 and 90), so the SVD puts left first and the L1 residual of
+        each rank-1 term (the other's L1) puts right first."""
+        g = two_triangles_with_bridge()
+        left, right = validate_cycle(g, [0, 1, 2, 0]), validate_cycle(g, [3, 4, 5, 3])
+        H = (np.outer(left.dense(), [10.0] + [0.0] * 15)
+             + np.outer(right.dense(), [0.0] + [2.0] * 15))
+        return g, {"left": left.canonical(), "right": right.canonical()}, H
+
+    @pytest.mark.parametrize("added, rank, scored, order", [
+        (1, None, 0, ("left", "right")),  # evaluated, every column kept: SVD order
+        (1, 3, 1, ("right", "left")),  # l < rank: the scores select
+        (2, None, 1, ("right", "left")),  # no evaluation: the scores order the cells
+    ])
+    def test_svd_columns_scored_only_where_scores_decide(self, monkeypatch, added, rank,
+                                                         scored, order):
+        calls = []
+        column_scores = mfci.column_scores
+
+        def counting(*args):
+            calls.append(args)
+            return column_scores(*args)
+        monkeypatch.setattr(mfci, "column_scores", counting)
+        g, keys, H = self.svd_order_against_score_order()
+        cfg = InferenceConfig(total_cells=2, candidates_per_iteration=2,
+                              added_per_iteration=added, factorization_rank=rank)
+        candidates, fact = candidate_search(CellComplex(g), H, cfg, np.random.default_rng(0))
+        assert len(calls) == scored and fact.rank == (rank or 2)
+        assert [cell.canonical() for cell in candidates] == [keys[name] for name in order]
+
     def test_existing_cells_not_reproposed(self):
         g = t3()
         triangle = validate_cycle(g, [0, 1, 2, 0])
@@ -452,6 +486,29 @@ class TestInferMfci:
         _, trace = infer_mfci(cpx.graph, flows, cfg, np.random.default_rng([0, 1]))
         # gradient removal, and neither scoring nor the report solves
         assert len(seen) == trace.final.cumulative_solver_calls == 1
+
+    def test_exact_projection_computes_no_candidate_loss(self, monkeypatch):
+        # l = l' adds every candidate, so nothing reads a loss: the exact
+        # flows and the basis move by the scoring directions alone
+        counted = {"rank_one_scores": 0, "exact losses": 0}
+        rank_one_scores, exact_losses = mfci.rank_one_scores, hodge._exact_losses
+
+        def scoring(*args):
+            counted["rank_one_scores"] += 1
+            return rank_one_scores(*args)
+
+        def counting(flows_h, directions, weights, indices):
+            counted["exact losses"] += len(indices)
+            return exact_losses(flows_h, directions, weights, indices)
+        monkeypatch.setattr(mfci, "rank_one_scores", scoring)
+        monkeypatch.setattr(hodge, "_exact_losses", counting)
+        cpx = random_complex(SynthConfig(16, 0.8, 10, 1, seed=21))
+        flows = sample_flows(cpx, 12, 1.0, 0.3, np.random.default_rng(4))
+        cfg = InferenceConfig(total_cells=10, candidates_per_iteration=4, added_per_iteration=4,
+                              method="ica", projection="exact")
+        _, trace = infer_mfci(cpx.graph, flows, cfg)
+        assert counted["rank_one_scores"] == len(trace.records) - 1 >= 2
+        assert counted["exact losses"] == 0
 
     def test_budget_never_overshot(self):
         cpx = random_complex(SynthConfig(12, 0.7, 6, 1, seed=41))

@@ -15,7 +15,10 @@ The report (JSON, written to ``--out``) holds every pair's end-to-end
 metrics, ``[failed, attempted]`` counts and ``correct`` flags, and per
 metric each side's
 quartiles ``[q1, median, q3]`` and the number of pairs in which the change
-was lower.
+was lower.  When the runs report ``sph_s`` and ``fast_s``, it also holds
+each side's median of the per-run ratio ``sph_s / fast_s``, the paper's
+headline comparison of the spanning-tree baseline against fast MFCI, and
+the summary line prints it.
 
 Two rules are applied.  The regression rule covers every end-to-end metric
 that ``PARENT/BENCHMARK.json`` lists: the change regresses a metric when its
@@ -96,6 +99,16 @@ def summarize(pairs, metric):
     }
 
 
+def sph_per_fast(pairs):
+    """Each side's median of the per-run ratio ``sph_s / fast_s``, or None
+    when the runs do not report both."""
+    if not all(name in pair[side] for pair in pairs for side in SIDES
+               for name in ("sph_s", "fast_s")):
+        return None
+    return {side: round(statistics.median(pair[side]["sph_s"] / pair[side]["fast_s"]
+                                          for pair in pairs), 4) for side in SIDES}
+
+
 def judge(pairs, metric):
     """The claim rule: the change lower in >= 9/10 of the pairs, and the
     median gap larger than the parent's interquartile range."""
@@ -155,6 +168,7 @@ def main(argv=None):
     checked = {name: regression(pairs, name, *limits[name]) for name in limits}
     regressed = [name for name, check in checked.items() if check["regressed"]]
     verdict = judge(pairs, args.claim) if args.claim else None
+    ratio = sph_per_fast(pairs)
     failed = sum(p[f"{side}_failed"][0] for p in pairs for side in SIDES)
     incorrect = sum(not p[f"{side}_correct"] for p in pairs for side in SIDES)
     report = {
@@ -175,7 +189,8 @@ def main(argv=None):
         "regressed": [f"{args.workload}.{name}" for name in regressed],
         "failed_calls": failed,
         "incorrect_runs": incorrect,
-        "workloads": {args.workload: {"summary": summary, "pairs": pairs}},
+        "workloads": {args.workload: {"summary": summary, "sph_s_per_fast_s": ratio,
+                                      "pairs": pairs}},
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     if verdict:
@@ -184,6 +199,9 @@ def main(argv=None):
               f"{verdict['change_lower_in']}, median gap {verdict['median_gap']:.4g} "
               f"against parent spread {verdict['parent_quartile_spread']:.4g}: "
               f"{'passes' if verdict['passes'] else 'fails'}")
+    if ratio:
+        print(f"{args.workload}: median sph_s / fast_s: parent {ratio['parent']:.4g}, "
+              f"change {ratio['change']:.4g}")
     print(f"{args.workload}: regressed beyond bound: {', '.join(regressed) or 'none'}; "
           f"{failed} failed calls, {incorrect} incorrect runs")
     passes = verdict is None or verdict["passes"]
