@@ -241,15 +241,13 @@ def candidate_search(complex_, flows_h, cfg, rng):
     l = cfg.candidates_per_iteration
     if cfg.method == "ica":
         fact = fast_ica(flows_h, cfg.rank, seed=int(rng.integers(2**63)))
-        # fast_ica already orders its columns by ascending column score.
-        columns = [fact.B[:, j].copy() for j in range(l)]
-    elif cfg.evaluate_candidates and l == cfg.rank:
-        # Every column is kept and evaluation picks among the cells, so
-        # scores would only sort them: take the SVD's order.
-        fact = truncated_svd(flows_h, l)
-        columns = [fact.B[:, j].copy() for j in range(l)]
     else:
         fact = truncated_svd(flows_h, cfg.rank)
+    # fast_ica already orders its columns by ascending column score, and
+    # when evaluation picks among all r columns a score would only sort them.
+    if cfg.method == "ica" or (cfg.evaluate_candidates and l == cfg.rank):
+        columns = [fact.B[:, j].copy() for j in range(l)]
+    else:
         columns = select_columns(fact, column_scores(flows_h, fact), l)
 
     graph = complex_.graph

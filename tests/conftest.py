@@ -16,3 +16,19 @@ def unconverged_solve():
         return result
 
     return unconverged
+
+
+@pytest.fixture
+def exact_losses_counted(monkeypatch):
+    """A one-item list that counts the exact candidate losses
+    (``hodge._exact_losses``) computed from the moment the fixture is set
+    up."""
+    counted = [0]
+    exact_losses = hodge._exact_losses
+
+    def counting(flows, directions, weights, indices):
+        counted[0] += len(indices)
+        return exact_losses(flows, directions, weights, indices)
+
+    monkeypatch.setattr(hodge, "_exact_losses", counting)
+    return counted

@@ -210,29 +210,25 @@ class TestInferSph:
             prefix = CellComplex(cpx.graph, complex_.cells[:r.cells_total])
             assert r.loss == pytest.approx(loss(prefix, flows0), rel=1e-8)
 
-    def test_dense_scoring_computes_fewer_exact_losses_than_it_scores(self, monkeypatch):
+    def test_dense_scoring_computes_fewer_exact_losses_than_it_scores(
+            self, monkeypatch, exact_losses_counted):
         # the closed-form screen of RankOneScores.best leaves the exact
         # (m x s) loss to the candidates that can win; the acceptance
         # suite's dense instance (n=40, p=0.9, k=50, s=64), seed 0
         rng = np.random.default_rng([0, 0])
         cpx = random_complex(SynthConfig(40, 0.9, 50, 64, 1.0, 0.3), rng)
         flows = sample_flows(cpx, 64, 1.0, 0.3, rng)
-        scored, exact = [0], [0]
-        scores, exact_losses = baselines.rank_one_scores, hodge._exact_losses
+        scored = [0]
+        scores = baselines.rank_one_scores
 
         def scoring(basis, flows_h, candidates):
             scored[0] += len(candidates)
             return scores(basis, flows_h, candidates)
-
-        def counting(flows_h, directions, weights, indices):
-            exact[0] += len(indices)
-            return exact_losses(flows_h, directions, weights, indices)
         monkeypatch.setattr(baselines, "rank_one_scores", scoring)
-        monkeypatch.setattr(hodge, "_exact_losses", counting)
         _, trace = infer_sph(cpx.graph, flows, SphConfig(total_cells=50,
                                                          candidates_per_iteration=11))
         assert trace.final.cells_total == 50
-        assert len(trace.records) - 1 <= exact[0] < scored[0]
+        assert len(trace.records) - 1 <= exact_losses_counted[0] < scored[0]
 
     def test_k4_two_triangles(self):
         g = k4()

@@ -482,19 +482,6 @@ def reference_best(losses, unchanged, count):
     return picked
 
 
-def count_exact_losses(monkeypatch):
-    """Count, in a one-item list, the exact candidate losses computed from
-    now on."""
-    counted = [0]
-    original = hodge._exact_losses
-
-    def counting(flows, directions, weights, indices):
-        counted[0] += len(indices)
-        return original(flows, directions, weights, indices)
-    monkeypatch.setattr(hodge, "_exact_losses", counting)
-    return counted
-
-
 def planted_prefix_case(s, candidates=lambda rest, before: rest, flows=None):
     planted = random_complex(SynthConfig(16, 0.6, 9, 1, seed=14))
     before = CellComplex(planted.graph, planted.cells[:3])
@@ -635,18 +622,16 @@ class TestRankOneScores:
             rank_one_scores(curl_basis(before), h, [])
 
     @pytest.mark.parametrize("count", [0, -1])
-    def test_best_below_one_is_empty(self, count, monkeypatch):
+    def test_best_below_one_is_empty(self, count, exact_losses_counted):
         before, h, candidates = self.planted_prefix_and_rest(2)
         scores = rank_one_scores(curl_basis(before), h, candidates)
-        counted = count_exact_losses(monkeypatch)
-        assert scores.best(count) == [] and counted == [0]
+        assert scores.best(count) == [] and exact_losses_counted == [0]
 
-    def test_best_computes_exact_losses_only_for_survivors(self, monkeypatch):
+    def test_best_computes_exact_losses_only_for_survivors(self, exact_losses_counted):
         before, h, candidates = self.planted_prefix_and_rest(5)
         scores = rank_one_scores(curl_basis(before), h, candidates)
-        counted = count_exact_losses(monkeypatch)
         picks = scores.best(1)
-        assert 1 <= counted[0] < len(candidates)
+        assert 1 <= exact_losses_counted[0] < len(candidates)
         assert picks == reference_best(scores.losses, scores.unchanged, 1)
 
     @pytest.mark.parametrize("case", sorted(SCREEN_CASES))

@@ -487,28 +487,21 @@ class TestInferMfci:
         # gradient removal, and neither scoring nor the report solves
         assert len(seen) == trace.final.cumulative_solver_calls == 1
 
-    def test_exact_projection_computes_no_candidate_loss(self, monkeypatch):
+    def test_exact_projection_computes_no_candidate_loss(self, monkeypatch,
+                                                        exact_losses_counted):
         # l = l' adds every candidate, so nothing reads a loss: the exact
         # flows and the basis move by the scoring directions alone
-        counted = {"rank_one_scores": 0, "exact losses": 0}
-        rank_one_scores, exact_losses = mfci.rank_one_scores, hodge._exact_losses
-
-        def scoring(*args):
-            counted["rank_one_scores"] += 1
-            return rank_one_scores(*args)
-
-        def counting(flows_h, directions, weights, indices):
-            counted["exact losses"] += len(indices)
-            return exact_losses(flows_h, directions, weights, indices)
-        monkeypatch.setattr(mfci, "rank_one_scores", scoring)
-        monkeypatch.setattr(hodge, "_exact_losses", counting)
+        scored = []
+        rank_one_scores = mfci.rank_one_scores
+        monkeypatch.setattr(mfci, "rank_one_scores",
+                            lambda *args: scored.append(args) or rank_one_scores(*args))
         cpx = random_complex(SynthConfig(16, 0.8, 10, 1, seed=21))
         flows = sample_flows(cpx, 12, 1.0, 0.3, np.random.default_rng(4))
         cfg = InferenceConfig(total_cells=10, candidates_per_iteration=4, added_per_iteration=4,
                               method="ica", projection="exact")
         _, trace = infer_mfci(cpx.graph, flows, cfg)
-        assert counted["rank_one_scores"] == len(trace.records) - 1 >= 2
-        assert counted["exact losses"] == 0
+        assert len(scored) == len(trace.records) - 1 >= 2
+        assert exact_losses_counted == [0]
 
     def test_budget_never_overshot(self):
         cpx = random_complex(SynthConfig(12, 0.7, 6, 1, seed=41))
