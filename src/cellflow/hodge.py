@@ -285,18 +285,18 @@ class RankOneScores:
         their exact loss, and the rule runs over them in index order: the
         picks are those of the rule over every exact loss.
         """
-        n = self.directions.shape[1]
         if count < 1:
             return []
         band = 1e-9 * self.unchanged
-        survivors = range(n)
-        if count < n:
-            bh_squared = np.einsum("ij,ij->j", self.directions, self.directions)
-            c_squared = np.einsum("ij,ij->i", self.weights, self.weights)
-            closed = np.sqrt(np.maximum(self.unchanged**2 - bh_squared * c_squared, 0.0))
-            error = _screen_error(*self._flows.shape) * self.unchanged
-            threshold = np.partition(closed, count - 1)[count - 1] + band + 2 * error
-            survivors = np.flatnonzero(closed <= threshold).tolist()
+        bh_squared = np.einsum("ij,ij->j", self.directions, self.directions)
+        c_squared = np.einsum("ij,ij->i", self.weights, self.weights)
+        closed = np.sqrt(np.maximum(self.unchanged**2 - bh_squared * c_squared, 0.0))
+        error = _screen_error(*self._flows.shape) * self.unchanged
+        # with count >= n the threshold is at least the largest closed form,
+        # so every candidate survives
+        k = min(count, len(closed)) - 1
+        threshold = np.partition(closed, k)[k] + band + 2 * error
+        survivors = np.flatnonzero(closed <= threshold).tolist()
         losses = dict(zip(survivors, _exact_losses(self._flows, self.directions,
                                                    self.weights, survivors)))
         remaining = list(survivors)

@@ -216,15 +216,6 @@ def candidate_search(complex_, flows_h, cfg, rng):
     """One candidate-search pass: factor the harmonic flows at rank r, keep
     the l best-scoring columns, and discretize each into a cell.
 
-    Column scores (``column_scores``) decide which columns are kept when
-    l < r, and with evaluation off their order is the order in which cells
-    are added and truncated.  An evaluated search (l' < l) that keeps every
-    column (l = r) has nothing for them to decide: it takes the SVD
-    columns in the SVD's order and scores none.  The picks then differ from
-    a scored order only where candidates tie within evaluation's band,
-    duplicates included (the first of two copies is the one kept, so its
-    sign can differ), and random walks draw in the SVD's column order.
-
     Random walks that fail (``WalkFailed``) and duplicates (within the batch
     or of cells already in the complex, up to sign) are dropped, so fewer
     than l candidates may come back.  Returns ``(candidates, factorization)``; the
@@ -241,13 +232,10 @@ def candidate_search(complex_, flows_h, cfg, rng):
     l = cfg.candidates_per_iteration
     if cfg.method == "ica":
         fact = fast_ica(flows_h, cfg.rank, seed=int(rng.integers(2**63)))
-    else:
-        fact = truncated_svd(flows_h, cfg.rank)
-    # fast_ica already orders its columns by ascending column score, and
-    # when evaluation picks among all r columns a score would only sort them.
-    if cfg.method == "ica" or (cfg.evaluate_candidates and l == cfg.rank):
+        # fast_ica already orders its columns by ascending column score.
         columns = [fact.B[:, j].copy() for j in range(l)]
     else:
+        fact = truncated_svd(flows_h, cfg.rank)
         columns = select_columns(fact, column_scores(flows_h, fact), l)
 
     graph = complex_.graph

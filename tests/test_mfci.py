@@ -226,40 +226,6 @@ class TestCandidateSearch:
         assert calls["fast_ica"] >= len(trace.records) - 1 >= 2
         assert calls["column_scores"] == calls["fast_ica"]
 
-    @staticmethod
-    def svd_order_against_score_order():
-        """Disjoint triangles and flows whose SVD order is the reverse of
-        their column-score order: the left triangle carries one strong
-        sample (Frobenius norm 17.3, L1 30), the right one 15 weaker ones
-        (13.4 and 90), so the SVD puts left first and the L1 residual of
-        each rank-1 term (the other's L1) puts right first."""
-        g = two_triangles_with_bridge()
-        left, right = validate_cycle(g, [0, 1, 2, 0]), validate_cycle(g, [3, 4, 5, 3])
-        H = (np.outer(left.dense(), [10.0] + [0.0] * 15)
-             + np.outer(right.dense(), [0.0] + [2.0] * 15))
-        return g, {"left": left.canonical(), "right": right.canonical()}, H
-
-    @pytest.mark.parametrize("added, rank, scored, order", [
-        (1, None, 0, ("left", "right")),  # evaluated, every column kept: SVD order
-        (1, 3, 1, ("right", "left")),  # l < rank: the scores select
-        (2, None, 1, ("right", "left")),  # no evaluation: the scores order the cells
-    ])
-    def test_svd_columns_scored_only_where_scores_decide(self, monkeypatch, added, rank,
-                                                         scored, order):
-        calls = []
-        column_scores = mfci.column_scores
-
-        def counting(*args):
-            calls.append(args)
-            return column_scores(*args)
-        monkeypatch.setattr(mfci, "column_scores", counting)
-        g, keys, H = self.svd_order_against_score_order()
-        cfg = InferenceConfig(total_cells=2, candidates_per_iteration=2,
-                              added_per_iteration=added, factorization_rank=rank)
-        candidates, fact = candidate_search(CellComplex(g), H, cfg, np.random.default_rng(0))
-        assert len(calls) == scored and fact.rank == (rank or 2)
-        assert [cell.canonical() for cell in candidates] == [keys[name] for name in order]
-
     def test_existing_cells_not_reproposed(self):
         g = t3()
         triangle = validate_cycle(g, [0, 1, 2, 0])
