@@ -279,9 +279,10 @@ class RankOneScores:
         almost exactly (h = b c^T + 1e-9 noise gives 0 where the loop gives
         about 2e-9 ||h||), so a bound of order sqrt(u) is needed, not one of
         order u.  A candidate whose closed form exceeds the count-th
-        smallest one by more than the band plus 2E has an exact loss more
-        than the band above the count-th smallest exact loss, so the rule
-        can never pick it and it never sets the floor.  The survivors get
+        smallest one (the largest, when count >= n candidates) by more
+        than the band plus 2E has an exact loss more than the band above
+        the count-th smallest exact loss, so the rule can never pick it
+        and it never sets the floor.  The survivors get
         their exact loss, and the rule runs over them in index order: the
         picks are those of the rule over every exact loss.
         """
@@ -292,8 +293,6 @@ class RankOneScores:
         c_squared = np.einsum("ij,ij->i", self.weights, self.weights)
         closed = np.sqrt(np.maximum(self.unchanged**2 - bh_squared * c_squared, 0.0))
         error = _screen_error(*self._flows.shape) * self.unchanged
-        # with count >= n the threshold is at least the largest closed form,
-        # so every candidate survives
         k = min(count, len(closed)) - 1
         threshold = np.partition(closed, k)[k] + band + 2 * error
         survivors = np.flatnonzero(closed <= threshold).tolist()
