@@ -3,10 +3,11 @@
 The SPH variant here closes candidate cycles at the heaviest non-tree
 edges of the maximum spanning forest of the aggregate absolute harmonic
 flow, and greedily adds the single candidate that lowers the exact loss
-the most.  All candidates are scored against an orthonormal basis of the
-curl span (``hodge.rank_one_scores``), which grows by the winner's
-direction; the harmonic flows follow the winner's rank-one update instead
-of a fresh projection, so no solve runs after gradient removal.  It is a
+the most.  The pick is MFCI's evaluated one (``mfci.evaluate_and_select``):
+all candidates are scored against an orthonormal basis of the curl span
+(``hodge.rank_one_scores``), which grows by the winner's direction, and
+the harmonic flows follow the winner's rank-one update instead of a fresh
+projection, so no solve runs after gradient removal.  It is a
 faithful-in-spirit reference point, not a bit-exact port of any
 particular prior implementation.
 
@@ -23,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes import add_cells, heaviest_tree_cycles, random_tree_cell
-from .hodge import curl_basis, rank_one_scores
-from .mfci import _greedy_loop
+from .hodge import curl_basis
+from .mfci import _greedy_loop, evaluate_and_select
 
 
 @dataclass(frozen=True)
@@ -67,10 +68,11 @@ def infer_sph(graph, flows, cfg, rng=None, timer=None):
     Each iteration draws candidates from the current harmonic flows h,
     scores them all by their exact post-addition loss against an
     orthonormal basis of the curl span, adds the single best cell, and
-    moves h by that cell's rank-one update and the basis by its direction;
-    the recorded loss is ||h||.  Only gradient removal solves, so the
-    solver counts read 1 on every record.  ``rng`` is accepted for
-    interface symmetry; the heuristic itself is deterministic.
+    moves h by that cell's rank-one update and the basis by its direction
+    (``mfci.evaluate_and_select`` with evaluation on); the recorded loss
+    is ||h||.  Only gradient removal solves, so the solver counts read 1
+    on every record.  ``rng`` is accepted for interface symmetry; the
+    heuristic itself is deterministic.
     """
     del rng
 
@@ -81,11 +83,9 @@ def infer_sph(graph, flows, cfg, rng=None, timer=None):
                           if c.canonical() not in complex_.keys]
             if not candidates:
                 return
-            scores = rank_one_scores(basis, current, candidates)
-            best = scores.best(1)
-            complex_, added, _ = add_cells(complex_, [candidates[best[0]]])
-            current = scores.harmonic_after(current, best)
-            basis = scores.basis_after(basis, best)
+            chosen, current, basis = evaluate_and_select(basis, current, candidates, 1,
+                                                         evaluate=True)
+            complex_, added, _ = add_cells(complex_, chosen)
             yield complex_, added, float(np.linalg.norm(current)), ()
 
     return _greedy_loop(graph, flows, cfg.total_cells, timer, steps)
@@ -97,10 +97,10 @@ def infer_random(graph, flows, total_cells, rng, timer=None):
 
     Duplicate draws are resampled up to 100 times; once a cell cannot be
     drawn fresh the run stops short.  The exact loss recorded per iteration
-    is reporting only: once the clock has stopped, ``_greedy_loop`` carries
-    the exact harmonic flows from record to record and moves them by the
-    cell each one added, with one least-squares solve per record that is
-    neither counted as a solver call nor timed.
+    is reporting only: once the clock has stopped, ``_greedy_loop``
+    projects the gradient-free flows against each record's complex, one
+    least-squares solve per record that is neither counted as a solver
+    call nor timed.
     """
     if total_cells < 1:
         raise ValueError("total_cells must be >= 1")

@@ -12,8 +12,8 @@ need no solve at all.  Scoring computes an exact candidate loss (an
 m x s pass) only where it can decide a pick: ``RankOneScores.best``
 screens by a closed form that needs no pass, and a caller that adds given
 candidates computes no loss.  Inside a loop, then, only gradient removal
-solves; the reporting recompute of the loops that carry no exact flows
-(``grown_harmonic``) solves after the loop's clock has stopped.
+solves; the loops that carry no exact flows report each record's ``loss``
+by a full projection after the loop's clock has stopped.
 
 ``least_squares`` is the one solve: a direct minimum-norm solve through the
 eigendecomposition of the small Gram matrix A^T A (the n x n graph
@@ -315,7 +315,14 @@ class RankOneScores:
         one pick is the rank-one step ``h - b_h c``, several take one small
         dense least-squares fit, which copes with linearly dependent picks.
         """
-        return _remove_directions(flows_h, self.directions, self.weights, picks)
+        flows_h = np.asarray(flows_h, dtype=np.float64)
+        h = flows_h.reshape(flows_h.shape[0], -1)
+        if len(picks) == 1:
+            step = np.outer(self.directions[:, picks[0]], self.weights[picks[0]])
+        else:
+            span = self.directions[:, picks]
+            step = span @ np.linalg.lstsq(span, h, rcond=None)[0]
+        return (h - step).reshape(flows_h.shape)
 
     def basis_after(self, basis, picks):
         """The scoring ``basis`` extended to the curl span after adding the
@@ -326,20 +333,6 @@ class RankOneScores:
         column."""
         directions = self.directions[:, picks]
         return _orthonormal_extension(basis, directions, _column_norms(directions))
-
-
-def _remove_directions(flows_h, directions, weights, picks):
-    """h minus its projection onto the span of the ``picks`` columns of
-    ``directions``, whose rank-one coefficients are the matching rows of
-    ``weights`` (see ``RankOneScores.harmonic_after``)."""
-    flows_h = np.asarray(flows_h, dtype=np.float64)
-    h = flows_h.reshape(flows_h.shape[0], -1)
-    if len(picks) == 1:
-        step = np.outer(directions[:, picks[0]], weights[picks[0]])
-    else:
-        span = directions[:, picks]
-        step = span @ np.linalg.lstsq(span, h, rcond=None)[0]
-    return (h - step).reshape(flows_h.shape)
 
 
 def rank_one_scores(basis, flows_h, candidates):
@@ -366,30 +359,6 @@ def rank_one_scores(basis, flows_h, candidates):
         bh = bh - basis @ (basis.T @ bh)
     bh, weights = _guarded_directions(boundaries, bh, h)
     return RankOneScores(h, bh, weights)
-
-
-def grown_harmonic(before, after, flows_h, tally=None):
-    """Exact harmonic flows of ``after``, a complex that ``add_cells`` grew
-    from ``before``, given ``flows_h``, the exact harmonic flows of
-    ``before``; one least-squares solve either way.
-
-    On an empty ``before`` this is the projection of ``flows_h`` against
-    ``after``.  Otherwise only the new cells are solved for: one solve
-    against ``before`` with a right-hand side per new cell gives their
-    scoring directions (b_h and c, under ``rank_one_scores``' guard), and h
-    loses its projection onto all of them at once (as in
-    ``RankOneScores.harmonic_after``).
-    """
-    if not before.cell_count:
-        return harmonic_projection(after, flows_h, tally)
-    flows_h = np.asarray(flows_h, dtype=np.float64)
-    new = after.cells[before.cell_count:]
-    boundaries = np.stack([cell.dense() for cell in new], axis=1)
-    B2 = before.boundary_matrix(dtype=np.float64).tocsr()
-    bh = boundaries - B2 @ least_squares(B2, boundaries, tally).solution
-    directions, weights = _guarded_directions(
-        boundaries, bh, flows_h.reshape(flows_h.shape[0], -1))
-    return _remove_directions(flows_h, directions, weights, list(range(len(new))))
 
 
 def hodge_decompose(graph, complex_, flows, tally=None):

@@ -43,7 +43,7 @@ from .hodge import (
     SolverTally,
     approx_harmonic_update,
     curl_basis,
-    grown_harmonic,
+    loss,
     rank_one_scores,
     remove_gradient,
 )
@@ -252,35 +252,35 @@ def candidate_search(complex_, flows_h, cfg, rng):
     return list(candidates), fact
 
 
-def evaluate_and_select(basis, flows_h, candidates, count, cfg):
+def evaluate_and_select(basis, flows_h, candidates, count, evaluate):
     """Pick ``count`` cells from the candidates; returns
     ``(chosen, after, basis_after)``.
 
     ``basis`` is an orthonormal basis of the current complex's curl span
     (``hodge.curl_basis``) and ``flows_h`` its exact harmonic flows (on an
     empty complex, the gradient-free flows); with evaluation off the basis
-    may be None, where the caller tracks neither.  With evaluation on
-    (``cfg.evaluate_candidates``, l' < l), each candidate is scored by the
-    exact loss of the complex with that single cell added, all of them
-    against the basis with no solve (``hodge.rank_one_scores``), and the
-    lowest losses win; losses within 1e-9 of ||flows_h|| count as ties,
-    which go to candidate order.  ``RankOneScores.best`` computes the exact
-    loss only of the candidates that a closed-form screen leaves in the
-    running.  With evaluation off the leading ``count`` candidates are the
-    picks, and no loss is computed.  Given a basis, ``after`` and
-    ``basis_after`` are the exact harmonic flows and the curl basis of the
-    complex with all the chosen cells added, both taken from the picks'
-    scoring directions; without one they are None.  Fewer candidates than
-    ``count`` simply all pass.
+    may be None, where the caller tracks neither.  MFCI evaluates exactly
+    when l' < l (``InferenceConfig.evaluate_candidates``), SPH always.  With
+    ``evaluate`` on, each candidate is scored by the exact loss of the
+    complex with that single cell added, all of them against the basis with
+    no solve (``hodge.rank_one_scores``), and the lowest losses win; losses
+    within 1e-9 of ||flows_h|| count as ties, which go to candidate order.
+    ``RankOneScores.best`` computes the exact loss only of the candidates
+    that a closed-form screen leaves in the running.  With evaluation off
+    the leading ``count`` candidates are the picks, and no loss is
+    computed.  Given a basis, ``after`` and ``basis_after`` are the exact
+    harmonic flows and the curl basis of the complex with all the chosen
+    cells added, both taken from the picks' scoring directions; without one
+    they are None.  Fewer candidates than ``count`` simply all pass.
     """
-    if basis is None and not cfg.evaluate_candidates:
+    if basis is None and not evaluate:
         return list(candidates[:count]), None, None
     if not candidates:
         return [], flows_h, basis
-    if not cfg.evaluate_candidates:
+    if not evaluate:
         candidates = candidates[:count]
     scores = rank_one_scores(basis, flows_h, candidates)
-    picks = scores.best(count) if cfg.evaluate_candidates else list(range(len(candidates)))
+    picks = scores.best(count) if evaluate else list(range(len(candidates)))
     return ([candidates[i] for i in picks], scores.harmonic_after(flows_h, picks),
             scores.basis_after(basis, picks))
 
@@ -320,14 +320,11 @@ def _greedy_loop(graph, flows, total_cells, timer, steps):
     by the added cells' scoring directions) or, where it yields None
     (MFCI-approximate without evaluation, random), from a reporting
     recompute.  The clock stops with the last step, and the recompute runs
-    after it, so it is neither timed nor counted: it carries the exact
-    harmonic flows of the last reported complex and solves only for the
-    cells added since (``hodge.grown_harmonic``), one least-squares solve
-    per such record, against that complex with one right-hand side per
-    added cell, or a projection against the new complex when that one is
-    empty.  A record whose reporting solve failed its residual check gets a
-    "report-nonconverged" note after the step's own notes.  Returns
-    ``(complex, trace)``.
+    after it, so it is neither timed nor counted: each such record takes
+    ``hodge.loss`` of the gradient-free flows against its own complex, one
+    least-squares solve over all the flow columns.  A record whose
+    reporting solve failed its residual check gets a "report-nonconverged"
+    note after the step's own notes.  Returns ``(complex, trace)``.
     """
     flows = _flow_matrix(graph, flows)
     if graph.forest_size == graph.edge_count:
@@ -347,22 +344,17 @@ def _greedy_loop(graph, flows, total_cells, timer, steps):
         step = next(iterations, None)
         if step is None:
             break
-        complex_, added, loss, notes = step
-        timed.append((complex_, added, loss, tuple(notes), timer() - t0))
+        complex_, added, value, notes = step
+        timed.append((complex_, added, value, tuple(notes), timer() - t0))
 
-    # The exact harmonic flows of the complex ``reported_at``, carried
-    # from one reporting recompute to the next.
-    reported, reported_at = flows0, timed[0][0]
     records = []
-    for iteration, (after, added, loss, notes, seconds) in enumerate(timed):
-        if loss is None:
+    for iteration, (after, added, value, notes, seconds) in enumerate(timed):
+        if value is None:
             report = SolverTally()
-            reported = grown_harmonic(reported_at, after, reported, report)
-            reported_at = after
-            loss = float(np.linalg.norm(reported))
+            value = loss(after, flows0, report)
             if report.nonconverged:
                 notes += ("report-nonconverged",)
-        records.append(IterationRecord(iteration, added, after.cell_count, loss, seconds,
+        records.append(IterationRecord(iteration, added, after.cell_count, value, seconds,
                                        tally.calls, 0, notes))
     return complex_, InferenceTrace(tuple(records))
 
@@ -411,7 +403,8 @@ def infer_mfci(graph, flows, cfg, rng=None, timer=None):
             wanted = min(cfg.added_per_iteration, cfg.total_cells - complex_.cell_count)
             # candidate_search has already dropped every candidate that
             # add_cells would drop, so ``added`` is ``chosen``.
-            chosen, exact, basis = evaluate_and_select(basis, exact, candidates, wanted, cfg)
+            chosen, exact, basis = evaluate_and_select(basis, exact, candidates, wanted,
+                                                       cfg.evaluate_candidates)
             complex_, added, _ = add_cells(complex_, chosen)
             if not added:
                 return

@@ -14,7 +14,7 @@ from cellflow.complexes import (
     tree_cycle,
     validate_cycle,
 )
-from cellflow import baselines, hodge
+from cellflow import hodge, mfci
 from cellflow.hodge import loss, remove_gradient
 from cellflow.mfci import GraphIsForest, _align_sign, discretize_deterministic
 from cellflow.synth import SynthConfig, random_complex, sample_flows
@@ -219,12 +219,12 @@ class TestInferSph:
         cpx = random_complex(SynthConfig(40, 0.9, 50, 64, 1.0, 0.3), rng)
         flows = sample_flows(cpx, 64, 1.0, 0.3, rng)
         scored = [0]
-        scores = baselines.rank_one_scores
+        scores = mfci.rank_one_scores
 
         def scoring(basis, flows_h, candidates):
             scored[0] += len(candidates)
             return scores(basis, flows_h, candidates)
-        monkeypatch.setattr(baselines, "rank_one_scores", scoring)
+        monkeypatch.setattr(mfci, "rank_one_scores", scoring)
         _, trace = infer_sph(cpx.graph, flows, SphConfig(total_cells=50,
                                                          candidates_per_iteration=11))
         assert trace.final.cells_total == 50

@@ -20,7 +20,6 @@ from cellflow.hodge import (
     SolverTally,
     approx_harmonic_update,
     curl_basis,
-    grown_harmonic,
     harmonic_projection,
     hodge_decompose,
     least_squares,
@@ -664,18 +663,6 @@ class TestRankOneScores:
             assert scores.best(1) == [pick]
         scores = SCREEN_CASES["in the curl span"]()
         assert (scores.losses[-2:] == scores.unchanged).all()
-
-    @pytest.mark.parametrize("added", [1, 4])
-    def test_grown_harmonic_is_harmonic_after_all_new_cells(self, added):
-        before, h, candidates = self.planted_prefix_and_rest(3)
-        after = add_cells(before, candidates[:added])[0]
-        tally = SolverTally()
-        grown = grown_harmonic(before, after, h, tally)
-        scores = rank_one_scores(curl_basis(before), h, candidates[:added])
-        # the solve and the basis are two routes to the same b_h
-        error = np.linalg.norm(grown - scores.harmonic_after(h, list(range(added))))
-        assert error <= 1e-12 * np.linalg.norm(h)
-        assert tally.calls == 1
 
 
 @st.composite
