@@ -11,6 +11,7 @@ synthetic benchmark harness round out the package.
 from .complexes import (
     CellBoundary,
     CellComplex,
+    Forest,
     InvalidCell,
     MissingEdge,
     NoPath,

@@ -6,10 +6,12 @@ here is exact integer arithmetic; floating point only enters downstream in
 the flow computations.  Tree cycles come from one Kruskal generator, taken
 heaviest first (``heaviest_tree_cycles``: deterministic discretization and
 SPH) or in random order (``random_tree_cell``: random baseline, synth).
-Kruskal in random order stops once its tree has the graph's cached
-spanning-forest size of n - c edges (c components), and ``tree_cycle``
-searches only the forest it is given, so neither walks all m edges in
-Python per cell.
+Kruskal grows a ``Forest`` that keeps its node adjacency as edges are
+added, and ``tree_cycle`` builds each cell from the path it finds there.
+Heaviest first, Kruskal takes at most n - c + count edges (c components,
+``count`` cycles), so only that many of the heaviest edges are sorted; in
+random order it stops once its tree has n - c edges.  So no cell walks all
+m edges in Python.
 """
 
 from __future__ import annotations
@@ -420,61 +422,87 @@ def add_cells(complex_, new_cells):
     return out, tuple(added), tuple(dropped)
 
 
-def tree_cycle(graph, forest_edges, closing_edge):
-    """The unique cycle formed by ``closing_edge`` plus the forest path
-    between its endpoints.  Returns the cycle as a set of edge ids.
+class Forest:
+    """The edge ids of a forest of ``graph`` and the neighbour lists of its
+    nodes, both grown in place by ``add``.  Acyclicity is the caller's to
+    keep, as ``kruskal`` does."""
 
-    ``forest_edges`` must be acyclic; this is not re-checked.  The search
-    runs over an adjacency built from ``forest_edges`` alone, so a call
-    costs O(len(forest_edges)), whatever the size of the graph.
+    def __init__(self, graph):
+        self.graph = graph
+        self.adjacency = [[] for _ in range(graph.node_count)]
+        self._edges = set()
+
+    def add(self, edge):
+        u, v = self.graph.edges[edge]
+        self.adjacency[u].append(v)
+        self.adjacency[v].append(u)
+        self._edges.add(edge)
+
+    def __len__(self):
+        return len(self._edges)
+
+    def __iter__(self):
+        return iter(self._edges)
+
+    def __contains__(self, edge):
+        return edge in self._edges
+
+
+def tree_cycle(graph, forest, closing_edge):
+    """The cell of the unique cycle formed by ``closing_edge`` plus the path
+    between its endpoints in ``forest`` (a ``Forest`` of ``graph``).
+
+    The search runs over the forest's own adjacency, so a call costs
+    O(len(forest)), whatever the size of the graph.  The cycle is walked
+    from its lowest node toward the lower of that node's two cycle
+    neighbours, as ``boundary_from_edge_set`` orients the same edge set,
+    and the walk is validated once, by ``validate_cycle``.
 
     Raises
     ------
     ValueError
-        If ``closing_edge`` is one of ``forest_edges``.
+        If ``closing_edge`` is an edge of ``forest``.
     NoPath
         If the endpoints of ``closing_edge`` lie in different forest
         components.
     """
     closing_edge = int(closing_edge)
-    adjacency = {}
-    for e in forest_edges:
-        e = int(e)
-        if e == closing_edge:
-            raise ValueError("closing_edge must not be part of the forest")
-        a, b = graph.edges[e]
-        adjacency.setdefault(a, []).append((b, e))
-        adjacency.setdefault(b, []).append((a, e))
+    if closing_edge in forest:
+        raise ValueError("closing_edge must not be part of the forest")
     u, v = graph.edges[closing_edge]
+    adjacency = forest.adjacency
     # BFS from u to v over the forest; the path is unique.
-    parent = {u: (None, None)}
+    parent = {u: None}
     todo = deque([u])
     while todo:
         node = todo.popleft()
         if node == v:
             break
-        for nbr, eid in adjacency.get(node, ()):
+        for nbr in adjacency[node]:
             if nbr not in parent:
-                parent[nbr] = (node, eid)
+                parent[nbr] = node
                 todo.append(nbr)
     if v not in parent:
         raise NoPath(f"endpoints {u} and {v} are in different forest components")
-    cycle = {closing_edge}
-    node = v
-    while node != u:
-        node, eid = parent[node]
-        cycle.add(eid)
-    return cycle
+    # The path v -> u, closed by the edge u -> v, in cyclic order.
+    ring = [v]
+    while ring[-1] != u:
+        ring.append(parent[ring[-1]])
+    low = ring.index(min(ring))
+    if ring[low - 1] < ring[(low + 1) % len(ring)]:
+        ring.reverse()
+        low = len(ring) - 1 - low
+    return validate_cycle(graph, ring[low:] + ring[:low + 1])
 
 
 def kruskal(graph, order, forest):
     """Grow a spanning forest greedily: take the edges in ``order``, add each
-    one that joins two components to ``forest`` (a set of edge ids, grown in
-    place), and yield each one that closes a cycle instead.  Right after a
-    yield, ``tree_cycle(graph, forest, edge)`` is that edge's cycle; once the
-    generator is exhausted, ``forest`` is the whole spanning forest.  It is
-    whole already once it holds ``graph.forest_size`` edges: every later
-    edge closes a cycle, so a caller may stop there."""
+    one that joins two components to ``forest`` (a ``Forest`` of ``graph``,
+    grown in place), and yield each one that closes a cycle instead.  Right
+    after a yield, ``tree_cycle(graph, forest, edge)`` is that edge's cell;
+    once the generator is exhausted, ``forest`` is the whole spanning
+    forest.  It is whole already once it holds ``graph.forest_size`` edges:
+    every later edge closes a cycle, so a caller may stop there."""
     uf = UnionFind(graph.node_count)
     for e in order:
         e = int(e)
@@ -490,16 +518,36 @@ def heaviest_tree_cycles(graph, weights, count):
     first (ties: lower edge id), as ``(closing_edge, boundary)`` pairs;
     fewer if the graph has fewer independent cycles.  Forest paths are
     unique, so an edge's cycle through the partial forest is its cycle
-    through the full maximum spanning forest, which is never grown."""
+    through the full maximum spanning forest, which is never grown.  Each
+    boundary is ``tree_cycle``'s: walked from the cycle's lowest node toward
+    its lower cycle neighbour.
+
+    Kruskal stops after at most ``graph.forest_size + count`` edges (n - c
+    unions plus ``count`` closing edges), so only the edges at least as
+    heavy as the heaviest that many are sorted, ties with the last one
+    included; when that covers all m edges, all are sorted.
+
+    Raises
+    ------
+    ValueError
+        If ``weights`` is not a finite vector of one weight per edge.
+    """
     weights = np.asarray(weights, dtype=np.float64)
     m = graph.edge_count
     if weights.shape != (m,):
         raise ValueError("weight vector length must equal the edge count")
-    forest = set()
-    closing = kruskal(graph, np.lexsort((np.arange(m), -weights)), forest)
+    if not np.isfinite(weights).all():
+        raise ValueError("weights must be finite")
+    used = graph.forest_size + count
+    heavy = -weights
+    head = np.arange(m)
+    if used < m:
+        head = np.flatnonzero(heavy <= np.partition(heavy, used - 1)[used - 1])
+    order = head[np.lexsort((head, heavy[head]))]
+    forest = Forest(graph)
+    closing = kruskal(graph, order, forest)
     # zip takes from range first, so kruskal is not resumed past ``count``.
-    return [(e, boundary_from_edge_set(graph, tree_cycle(graph, forest, e)))
-            for _, e in zip(range(count), closing)]
+    return [(e, tree_cycle(graph, forest, e)) for _, e in zip(range(count), closing)]
 
 
 def random_tree_cell(graph, rng):
@@ -514,7 +562,7 @@ def random_tree_cell(graph, rng):
     order = rng.permutation(graph.edge_count)
     if graph.forest_size == graph.edge_count:
         raise ValueError("graph contains no cycle")
-    tree = set()
+    tree = Forest(graph)
     for _ in kruskal(graph, order, tree):
         if len(tree) == graph.forest_size:
             break
@@ -522,4 +570,4 @@ def random_tree_cell(graph, rng):
     non_tree[list(tree)] = False
     non_tree = np.flatnonzero(non_tree)
     closing = int(non_tree[rng.integers(len(non_tree))])
-    return boundary_from_edge_set(graph, tree_cycle(graph, tree, closing))
+    return tree_cycle(graph, tree, closing)

@@ -167,12 +167,14 @@ def write_meta(path, mapping):
 
 
 def parse_config(path):
-    """Flat ``key = value`` config: dotted keys, one per line, '#' comments.
-    Returns the raw string mapping; typing happens at the consumer."""
+    """Flat ``key = value`` config: dotted keys, one per line, '#' comments,
+    each key at most once.  Returns the raw string mapping; typing happens
+    at the consumer."""
     path = Path(path)
     if not path.exists():
         raise ParseError(f"{path}: file not found")
     out = {}
+    first_line = {}
     for i, line in enumerate(path.read_text().splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -183,6 +185,9 @@ def parse_config(path):
         key = key.strip()
         if not key:
             _fail(path, i, "empty key")
+        if key in first_line:
+            _fail(path, i, f"key {key!r} repeats line {first_line[key]}")
+        first_line[key] = i
         out[key] = value.strip()
     return out
 

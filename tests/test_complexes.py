@@ -9,6 +9,7 @@ from cellflow import complexes
 from cellflow.complexes import (
     CellBoundary,
     CellComplex,
+    Forest,
     InvalidCell,
     MissingEdge,
     NoPath,
@@ -21,6 +22,7 @@ from cellflow.complexes import (
     boundary_from_edge_set,
     build_incidence,
     check_cell,
+    heaviest_tree_cycles,
     kruskal,
     random_tree_cell,
     tree_cycle,
@@ -200,20 +202,39 @@ class TestAddCells:
             check_cell(g, bad)
 
 
+def forest_of(graph, edges):
+    forest = Forest(graph)
+    for e in edges:
+        forest.add(e)
+    return forest
+
+
 class TestTreeCycle:
     def test_triangle(self):
-        assert tree_cycle(t3(), {0, 1}, 2) == {0, 1, 2}
+        g = t3()
+        assert tree_cycle(g, forest_of(g, [0, 1]), 2) == validate_cycle(g, [0, 1, 2, 0])
 
     def test_k4_path_plus_chord(self):
-        assert tree_cycle(k4(), {0, 3, 5}, 2) == {0, 3, 5, 2}
+        g = k4()
+        assert tree_cycle(g, forest_of(g, [0, 3, 5]), 2) == validate_cycle(g, [0, 1, 2, 3, 0])
+
+    def test_walk_leaves_the_lowest_node_toward_its_lower_neighbour(self):
+        # The BFS path from 3 to 0 runs 3-2-1-0; the walk starts at 0 and
+        # leaves toward 1, not toward 3 along the closing edge.
+        g = OrientedGraph(4, [(3, 2), (1, 2), (0, 1), (3, 0)])
+        cell = tree_cycle(g, forest_of(g, [0, 1, 2]), 3)
+        assert cell == validate_cycle(g, [0, 1, 2, 3, 0])
+        assert cell == boundary_from_edge_set(g, {0, 1, 2, 3})
 
     def test_no_path(self):
+        g = k4()
         with pytest.raises(NoPath):
-            tree_cycle(k4(), {0}, 5)
+            tree_cycle(g, forest_of(g, [0]), 5)
 
     def test_closing_edge_in_forest(self):
+        g = k4()
         with pytest.raises(ValueError, match="part of the forest"):
-            tree_cycle(k4(), {0, 3, 5}, 3)
+            tree_cycle(g, forest_of(g, [0, 3, 5]), 3)
 
     def test_contains_closing_edge_and_degree_two(self):
         rng = np.random.default_rng(3)
@@ -224,13 +245,15 @@ class TestTreeCycle:
             tree = {int(e) for e in order if uf.union(*g.edges[e])}
             non_tree = [e for e in range(6) if e not in tree]
             closing = int(rng.choice(non_tree))
-            cycle = tree_cycle(g, tree, closing)
+            cell = tree_cycle(g, forest_of(g, tree), closing)
+            cycle = set(cell.edges.tolist())
             assert closing in cycle
             degree = {}
             for e in cycle:
                 for node in g.edges[e]:
                     degree[node] = degree.get(node, 0) + 1
             assert all(d == 2 for d in degree.values())
+            assert cell._validated_for is g
 
 
 class TestCellBoundary:
@@ -368,6 +391,22 @@ def reference_tree_cycle(graph, forest_edges, closing_edge):
     return cycle
 
 
+def reference_tree_cell(graph, forest_edges, closing_edge):
+    """The cell of ``tree_cycle`` as it was before it walked the BFS path:
+    the whole-graph BFS's edge set, oriented by ``boundary_from_edge_set``."""
+    return boundary_from_edge_set(graph, reference_tree_cycle(graph, forest_edges, closing_edge))
+
+
+def reference_heaviest_tree_cycles(graph, weights, count):
+    """``heaviest_tree_cycles`` as it was before it sorted only a prefix: a
+    full heaviest-first lexsort, Kruskal into a plain edge set, and each
+    closing edge's cell from ``reference_tree_cell``."""
+    m = graph.edge_count
+    forest = set()
+    closing = kruskal(graph, np.lexsort((np.arange(m), -weights)), forest)
+    return [(e, reference_tree_cell(graph, forest, e)) for _, e in zip(range(count), closing)]
+
+
 def reference_random_tree_cell(graph, rng):
     """``random_tree_cell`` as it was before it stopped early: Kruskal over
     all m edges, the reference for its cells and its rng stream."""
@@ -376,7 +415,7 @@ def reference_random_tree_cell(graph, rng):
     if not non_tree:
         raise ValueError("graph contains no cycle")
     closing = non_tree[rng.integers(len(non_tree))]
-    return boundary_from_edge_set(graph, reference_tree_cycle(graph, tree, closing))
+    return reference_tree_cell(graph, tree, closing)
 
 
 def outcome(function, *args):
@@ -451,11 +490,79 @@ def test_tree_cycle_matches_the_whole_graph_bfs():
         keep = rng.random(len(pairs)) < rng.uniform(0.2, 0.8)
         graph = OrientedGraph(n, [p for p, k in zip(pairs, keep) if k])
         prefix = rng.permutation(graph.edge_count)[:int(rng.integers(0, n))]
-        forest = set()
+        forest = Forest(graph)
         for _ in kruskal(graph, prefix, forest):
             pass
         for e in range(graph.edge_count):
-            expected = outcome(reference_tree_cycle, graph, forest, e)
+            expected = outcome(reference_tree_cell, graph, forest, e)
             assert outcome(tree_cycle, graph, forest, e) == expected
-            seen.add(expected if isinstance(expected, type) else set)
-    assert seen == {set, NoPath, ValueError}
+            seen.add(expected if isinstance(expected, type) else CellBoundary)
+    assert seen == {CellBoundary, NoPath, ValueError}
+
+
+def test_heaviest_tree_cycles_match_the_full_sort_reference():
+    # Random graphs with isolated nodes, often disconnected, under
+    # integer-valued (tied), all-zero and continuous weights, for every
+    # count from 0 to past the cycle rank: the same closing edges, edge ids
+    # and signs as the full sort, on both sides of the prefix bound.
+    rng = np.random.default_rng(23)
+    seen = set()
+    for _ in range(150):
+        n = int(rng.integers(1, 10))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        keep = rng.random(len(pairs)) < rng.uniform(0.1, 0.9)
+        edges = [(j, i) if rng.random() < 0.5 else (i, j) for (i, j), k in zip(pairs, keep) if k]
+        graph = OrientedGraph(n + int(rng.integers(0, 3)), edges)
+        m = graph.edge_count
+        kind = ("integer", "zero", "float")[int(rng.integers(3))]
+        weights = {"integer": rng.integers(0, 4, m).astype(float),
+                   "zero": np.zeros(m),
+                   "float": rng.exponential(size=m)}[kind]
+        rank = m - graph.forest_size
+        for count in range(rank + 3):
+            got = heaviest_tree_cycles(graph, weights, count)
+            assert got == reference_heaviest_tree_cycles(graph, weights, count)
+            assert len(got) == min(count, rank)
+            assert all(cell._validated_for is graph for _, cell in got)
+            used = graph.forest_size + count
+            if used < m:
+                cut = np.sort(weights)[::-1][used - 1]
+                seen.add("ties past the cut" if (weights >= cut).sum() > used else "prefix")
+            else:
+                seen.add("full sort")
+            seen.add(kind)
+            seen.add("count 0" if count == 0 else "count above rank" if count > rank else "count")
+        touched = {node for edge in graph.edges for node in edge}
+        if len(touched) < graph.node_count:
+            seen.add("isolated node")
+    assert seen == {"ties past the cut", "prefix", "full sort", "integer", "zero", "float",
+                    "count 0", "count above rank", "count", "isolated node"}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_heaviest_tree_cycles_reject_non_finite_weights(bad):
+    weights = np.arange(6, dtype=float)
+    weights[2] = bad
+    with pytest.raises(ValueError, match="weights must be finite"):
+        heaviest_tree_cycles(k4(), weights, 1)
+
+
+def test_tree_cycle_is_called_once_per_cell(monkeypatch):
+    # perfbench traces ``complexes.tree_cycle`` by replacing the module
+    # name, so every cell must come through it.
+    calls = []
+    real = complexes.tree_cycle
+
+    def counting(graph, forest, closing_edge):
+        calls.append(closing_edge)
+        return real(graph, forest, closing_edge)
+
+    monkeypatch.setattr(complexes, "tree_cycle", counting)
+    g = k4()
+    for count in range(5):
+        calls.clear()
+        got = heaviest_tree_cycles(g, [5.0, 4.0, 3.0, 2.0, 1.0, 0.0], count)
+        assert calls == [e for e, _ in got]
+    calls.clear()
+    random_tree_cell(g, np.random.default_rng(0))
+    assert len(calls) == 1

@@ -103,6 +103,12 @@ class TestFileFormats:
         with pytest.raises(ParseError, match="run.cfg:1"):
             parse_config(cfg)
 
+    def test_config_repeated_key_rejected(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("a = 1\n# comment\nb = 2\na = 2\n")
+        with pytest.raises(ParseError, match=r"run.cfg:4: key 'a' repeats line 1"):
+            parse_config(cfg)
+
 
 class TestLoadDataset:
     def test_round_trip_with_truth(self, dataset_dir):

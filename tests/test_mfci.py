@@ -9,8 +9,8 @@ from cellflow import factorize, hodge, mfci
 from cellflow.baselines import SphConfig, infer_random, infer_sph
 from cellflow.complexes import (
     CellComplex,
+    Forest,
     OrientedGraph,
-    boundary_from_edge_set,
     kruskal,
     tree_cycle,
     validate_cycle,
@@ -134,11 +134,11 @@ def test_discretize_deterministic_closes_first_non_tree_edge(case):
     # tree, so the first non-tree edge in |b| order closes the same cycle.
     g, b = case
     order = np.lexsort((np.arange(g.edge_count), -np.abs(b)))
-    tree = set()
+    tree = Forest(g)
     for _ in kruskal(g, order, tree):  # drained: the whole max spanning tree
         pass
     closing = next(int(e) for e in order if int(e) not in tree)
-    expected = boundary_from_edge_set(g, tree_cycle(g, tree, closing))
+    expected = tree_cycle(g, tree, closing)
     cell = discretize_deterministic(g, b)
     assert cell == expected or cell == -expected
     heaviest = int(cell.edges[np.argmax(np.abs(b[cell.edges]))])
