@@ -16,8 +16,6 @@ m edges in Python.
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 from scipy import sparse
 
@@ -188,14 +186,14 @@ class CellBoundary:
             raise ValueError("empty boundary")
         if edges.size != signs.size:
             raise ValueError("edges and signs length mismatch")
-        order = np.argsort(edges)
+        order = edges.argsort()
         edges = edges[order]
         signs = signs[order]
-        if np.any(np.diff(edges) == 0):
+        if (edges[1:] == edges[:-1]).any():
             raise ValueError("repeated edge id in boundary")
         if edges[0] < 0 or edges[-1] >= edge_count:
             raise ValueError("edge id outside [0, edge_count)")
-        if not np.all(np.abs(signs) == 1):
+        if not (np.abs(signs) == 1).all():
             raise ValueError("signs must be +1 or -1")
         self.edge_count = int(edge_count)
         self.edges = edges
@@ -471,17 +469,16 @@ def tree_cycle(graph, forest, closing_edge):
         raise ValueError("closing_edge must not be part of the forest")
     u, v = graph.edges[closing_edge]
     adjacency = forest.adjacency
-    # BFS from u to v over the forest; the path is unique.
+    # BFS from u over the forest until it reaches v; the path is unique.
     parent = {u: None}
-    todo = deque([u])
-    while todo:
-        node = todo.popleft()
-        if node == v:
-            break
+    frontier = [u]
+    for node in frontier:
         for nbr in adjacency[node]:
             if nbr not in parent:
                 parent[nbr] = node
-                todo.append(nbr)
+                frontier.append(nbr)
+        if v in parent:
+            break
     if v not in parent:
         raise NoPath(f"endpoints {u} and {v} are in different forest components")
     # The path v -> u, closed by the edge u -> v, in cyclic order.
