@@ -304,15 +304,22 @@ class CellComplex:
         return len(self.cells)
 
     def boundary_matrix(self, dtype=np.int8):
-        """Edge-by-cell boundary matrix as sparse CSC."""
+        """Edge-by-cell boundary matrix as sparse CSC in canonical format.
+
+        Built straight from the cells: each cell's edge ids are sorted and
+        distinct already, so they are column j's row indices as they
+        stand, and no sort or duplicate pass is needed."""
         m = self.graph.edge_count
         k = len(self.cells)
         if k == 0:
             return sparse.csc_matrix((m, 0), dtype=dtype)
-        rows = np.concatenate([c.edges for c in self.cells])
-        cols = np.concatenate([np.full(len(c), j, dtype=np.int64) for j, c in enumerate(self.cells)])
-        data = np.concatenate([c.signs for c in self.cells]).astype(dtype)
-        return sparse.csc_matrix((data, (rows, cols)), shape=(m, k))
+        indptr = np.zeros(k + 1, dtype=np.int64)
+        np.cumsum([c.edges.size for c in self.cells], out=indptr[1:])
+        indices = np.concatenate([c.edges for c in self.cells])
+        data = np.concatenate([c.signs for c in self.cells]).astype(dtype, copy=False)
+        out = sparse.csc_matrix((data, indices, indptr), shape=(m, k))
+        out.has_canonical_format = True
+        return out
 
     def __repr__(self):
         return f"CellComplex(n={self.graph.node_count}, m={self.graph.edge_count}, k={self.cell_count})"

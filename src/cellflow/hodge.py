@@ -18,10 +18,14 @@ by a full projection after the loop's clock has stopped.
 ``least_squares`` is the one solve: a direct minimum-norm solve through the
 eigendecomposition of the small Gram matrix A^T A (the n x n graph
 Laplacian for gradient removal, k x k for the curl span of k cells), with
-no iteration budget and no settings.  The projections below pass an
-optional ``SolverTally`` through, and ``least_squares`` counts itself into
-it, which is how the inference loops account for solver work and notice a
-solve whose residual check failed.
+no iteration budget and no settings.  It takes A as CSC, which is how the
+incidence and boundary matrices are built, so A^T is CSR with no
+conversion, and it returns the residual ``Y - A x`` that its convergence
+check forms anyway: a projection's remainder is that residual, with no
+second product.  The projections below pass an optional ``SolverTally``
+through, and ``least_squares`` counts itself into it, which is how the
+inference loops account for solver work and notice a solve whose residual
+check failed.
 """
 
 from __future__ import annotations
@@ -58,11 +62,14 @@ class SolverTally:
 
 class LeastSquaresResult(NamedTuple):
     """``iterations`` is always 0 (the solve is direct); it stays for the
-    callers that count solver iterations."""
+    callers that count solver iterations.  ``residual`` is ``Y - A x``,
+    with Y's shape: for a projection onto range(A), the part of Y
+    orthogonal to it."""
 
     solution: np.ndarray
     iterations: int
     converged: bool
+    residual: np.ndarray
 
 
 class ApproxUpdateResult(NamedTuple):
@@ -92,14 +99,18 @@ def least_squares(A, Y, tally=None):
     ``V_k diag(1/w_k) V_k^T A^T y`` over the eigenvalues w_k above
     ``_RANK_CUTOFF`` times the largest, so x lies in range(A^T).
     ``converged`` is True when every column meets
-    ``||A^T (A x - y)|| <= 1e-8 ||A^T y||`` on the true residual (or the
+    ``||A^T (y - A x)|| <= 1e-8 ||A^T y||`` on the true residual (or the
     rounding floor 1e-13 ||A|| ||y||), and False otherwise: a direction of A
     small enough to fall under the cutoff is left out of x, and the check
-    notices.
+    notices.  A or Y with a NaN or inf entry (or norms that overflow)
+    raises ``ValueError`` before the solve; the norms of the floor test it.
 
     Parameters
     ----------
-    A : sparse or dense (p, q) matrix, used as float64 CSR
+    A : sparse or dense (p, q) matrix, used as float64 CSC
+        A^T is then CSR as it stands, and the Gram matrix is A^T times
+        dense A, exact for the small-integer incidence and boundary
+        matrices.
     Y : (p,) or (p, s) array
     tally : SolverTally, optional
         Counts this call and its convergence.
@@ -107,23 +118,31 @@ def least_squares(A, Y, tally=None):
     Returns
     -------
     LeastSquaresResult
-        solution with the same trailing shape as Y, 0 iterations, and the
-        convergence flag.
+        solution with the same trailing shape as Y, 0 iterations, the
+        convergence flag, and the residual ``Y - A x`` with Y's shape.
     """
-    A = sparse.csr_matrix(A, dtype=np.float64)
+    A = sparse.csc_matrix(A, dtype=np.float64)
     shape = np.shape(Y)
     if A.shape[0] != shape[0]:
         raise ValueError(f"A has {A.shape[0]} rows but Y has {shape[0]}")
     Y = np.asarray(Y, dtype=np.float64).reshape(shape[0], -1)
-    At = A.T.tocsr()
+    a_norm = float(np.sqrt((A.data**2).sum()))
+    y_norms = _column_norms(Y)
+    if not (np.isfinite(a_norm) and np.isfinite(y_norms).all()):
+        raise ValueError("A and Y must be finite: one holds NaN or inf, "
+                         "or its squared norm overflows")
+    At = A.T
     AtY = At @ Y
-    X, _ = _gram_solve((At @ A).toarray(), AtY)
-    floor = _ROUNDING_FLOOR * float(np.sqrt((A.data**2).sum())) * _column_norms(Y)
+    X, _ = _gram_solve(At @ A.toarray(), AtY)
+    # In place: a second m x s temporary costs more than the subtraction.
+    residual = A @ X
+    np.subtract(Y, residual, out=residual)
+    floor = _ROUNDING_FLOOR * a_norm * y_norms
     target = np.maximum(_RESIDUAL_TOLERANCE * _column_norms(AtY), floor)
-    ok = _column_norms(At @ (A @ X - Y)) <= target
+    ok = _column_norms(At @ residual) <= target
 
-    solution = X.reshape(A.shape[1:] + shape[1:])
-    result = LeastSquaresResult(solution, 0, bool(ok.all()))
+    result = LeastSquaresResult(X.reshape(A.shape[1:] + shape[1:]), 0, bool(ok.all()),
+                                residual.reshape(shape))
     if tally is not None:
         tally.count(result)
     return result
@@ -145,8 +164,7 @@ def remove_gradient(graph, flows, tally=None):
     the image of the transposed incidence matrix.  Counted as one solver
     call.  Non-finite flows raise ``ValueError`` before the solve."""
     flows = _checked_flows(graph, flows)
-    A = graph.incidence().T.astype(np.float64).tocsr()
-    return flows - A @ least_squares(A, flows, tally).solution
+    return least_squares(graph.incidence().T, flows, tally).residual
 
 
 def harmonic_projection(complex_, flows, tally=None):
@@ -159,8 +177,8 @@ def harmonic_projection(complex_, flows, tally=None):
     flows = _checked_flows(complex_.graph, flows)
     if complex_.cell_count == 0:
         return flows.copy()
-    B2 = complex_.boundary_matrix(dtype=np.float64).tocsr()
-    return flows - B2 @ least_squares(B2, flows, tally).solution
+    B2 = complex_.boundary_matrix(dtype=np.float64)
+    return least_squares(B2, flows, tally).residual
 
 
 def loss(complex_, flows, tally=None):

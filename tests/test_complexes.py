@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from cellflow import complexes
 from cellflow.complexes import (
@@ -361,6 +362,57 @@ def test_random_complexes_satisfy_b1b2_zero():
         B1 = build_incidence(cpx.graph).toarray().astype(np.int64)
         B2 = cpx.boundary_matrix().toarray().astype(np.int64)
         assert (B1 @ B2 == 0).all()
+
+
+def reference_boundary_matrix(cpx, dtype):
+    """The boundary matrix as it was built before: COO triplets converted to
+    CSC, which sorts them and sums duplicates."""
+    m, k = cpx.graph.edge_count, cpx.cell_count
+    if k == 0:
+        return sparse.csc_matrix((m, 0), dtype=dtype)
+    rows = np.concatenate([c.edges for c in cpx.cells])
+    cols = np.concatenate([np.full(len(c), j) for j, c in enumerate(cpx.cells)])
+    data = np.concatenate([c.signs for c in cpx.cells]).astype(dtype)
+    return sparse.csc_matrix((data, (rows, cols)), shape=(m, k))
+
+
+def bare(cell):
+    """``cell`` rebuilt by the bare constructor from shuffled edges."""
+    order = np.random.default_rng(len(cell)).permutation(len(cell))
+    return CellBoundary(cell.edge_count, cell.edges[order], cell.signs[order])
+
+
+def boundary_matrix_cases():
+    from cellflow.synth import SynthConfig, random_complex
+
+    g = k4()
+    triangle = validate_cycle(g, [0, 1, 2, 0])
+    planted = random_complex(SynthConfig(20, 0.5, 12, 1, seed=3))
+    return {
+        "empty": CellComplex(g),
+        "one cell": CellComplex(g, [triangle]),
+        "many cells": planted,
+        "negated cells": CellComplex(planted.graph, [-c for c in planted.cells]),
+        "bare constructor": CellComplex(planted.graph, [bare(c) for c in planted.cells]),
+        "mixed": CellComplex(g, [-triangle, bare(validate_cycle(g, [0, 1, 3, 2, 0]))]),
+    }
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.float64])
+@pytest.mark.parametrize("case", sorted(boundary_matrix_cases()))
+def test_boundary_matrix_equals_the_coo_built_reference(case, dtype):
+    cpx = boundary_matrix_cases()[case]
+    got = cpx.boundary_matrix(dtype=dtype)
+    want = reference_boundary_matrix(cpx, dtype)
+    assert got.format == want.format == "csc"
+    assert got.shape == want.shape and got.dtype == want.dtype == dtype
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert got.has_canonical_format and want.has_canonical_format
+    # the flag that boundary_matrix sets holds: recomputed from the arrays
+    again = sparse.csc_matrix((got.data, got.indices, got.indptr), shape=got.shape)
+    assert again.has_canonical_format
 
 
 def reference_tree_cycle(graph, forest_edges, closing_edge):

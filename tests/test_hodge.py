@@ -125,11 +125,46 @@ class TestLeastSquares:
         assert res.solution == pytest.approx([1.0, 0.0], abs=1e-15)
 
     def test_dense_matrix_matches_sparse(self):
+        # dense, CSR and CSC forms of one A give the same bits
         rng = np.random.default_rng(8)
         A = sparse.random(20, 8, density=0.4, random_state=8, format="csr")
-        Y = rng.standard_normal((20, 3))
-        dense = least_squares(A.toarray(), Y)
-        assert np.array_equal(dense.solution, least_squares(A, Y).solution)
+        for Y in (rng.standard_normal((20, 3)), rng.standard_normal(20)):
+            results = [least_squares(form, Y) for form in (A.toarray(), A, A.tocsc())]
+            for res in results[1:]:
+                assert res.solution.tobytes() == results[0].solution.tobytes()
+                assert res.residual.tobytes() == results[0].residual.tobytes()
+
+    @pytest.mark.parametrize("case", sorted(LSTSQ_CASES))
+    def test_residual_is_y_minus_a_x(self, case):
+        A, Y = LSTSQ_CASES[case]()
+        res = least_squares(A, Y)
+        assert res.residual.shape == Y.shape
+        assert res.residual.tobytes() == (Y - A @ res.solution).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["A dense", "A sparse", "1-d Y", "2-d Y"])
+    def test_non_finite_input_rejected_before_the_solve(self, bad, where, monkeypatch):
+        def unreached(*args):
+            raise AssertionError("the solve ran on non-finite input")
+
+        monkeypatch.setattr(hodge, "_gram_solve", unreached)
+        A = np.eye(3)
+        Y = np.array([[1.0, 2.0], [0.5, 0.0], [0.5, 1.0]])
+        if where.startswith("A"):
+            A[1, 2] = bad
+            A = A if where == "A dense" else sparse.csc_matrix(A)
+        else:
+            Y[1, -1] = bad
+            Y = Y[:, -1] if where == "1-d Y" else Y
+        tally = SolverTally()
+        with pytest.raises(ValueError, match="must be finite"):
+            least_squares(A, Y, tally)
+        assert tally.calls == 0
+
+    def test_finite_zero_input_is_accepted(self):
+        # the norms that test finiteness are 0 here, which is finite
+        res = least_squares(sparse.csc_matrix((3, 2)), np.zeros(3))
+        assert res.converged and not res.solution.any() and not res.residual.any()
 
     def test_counts_itself_into_tally(self):
         rng = np.random.default_rng(4)
@@ -262,6 +297,30 @@ class TestHarmonicProjection:
         once = harmonic_projection(cpx, F)
         twice = harmonic_projection(cpx, once)
         assert np.allclose(once, twice, atol=1e-7)
+
+
+def old_projection(A, flows):
+    """A projection's remainder as it was formed before ``least_squares``
+    returned its residual: a second product with the CSR matrix, subtracted
+    from the flows."""
+    A = sparse.csr_matrix(A, dtype=np.float64)
+    return flows - A @ least_squares(A, flows).solution
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_projections_equal_the_old_formula_bit_for_bit(seed):
+    cpx = random_complex(SynthConfig(25, 0.4, 6, 1, seed=seed))
+    rng = np.random.default_rng(seed)
+    m = cpx.graph.edge_count
+    incidence_t = cpx.graph.incidence().T
+    boundary = cpx.boundary_matrix(dtype=np.float64)
+    # zero flows check the sign of exact zeros, which a negated A x - y
+    # would flip
+    for flows in (rng.standard_normal((m, 5)), rng.standard_normal(m), np.zeros((m, 2))):
+        gradient_free = remove_gradient(cpx.graph, flows)
+        assert gradient_free.tobytes() == old_projection(incidence_t, flows).tobytes()
+        harmonic = harmonic_projection(cpx, gradient_free)
+        assert harmonic.tobytes() == old_projection(boundary, gradient_free).tobytes()
 
 
 class TestLoss:
