@@ -18,11 +18,10 @@ by a full projection after the loop's clock has stopped.
 ``least_squares`` is the one solve: a direct minimum-norm solve through the
 eigendecomposition of the small Gram matrix A^T A (the n x n graph
 Laplacian for gradient removal, k x k for the curl span of k cells), with
-no iteration budget and no settings.  It takes A as CSC, which is how the
-incidence and boundary matrices are built, so A^T is CSR with no
-conversion, and it returns the residual ``Y - A x`` that its convergence
-check forms anyway: a projection's remainder is that residual, with no
-second product.  The projections below pass an optional ``SolverTally``
+no iteration budget and no settings.  It takes A as CSC, the format the
+boundary matrix is built in, so A^T is CSR with no conversion, and it
+returns the residual ``Y - A x`` that its convergence check forms anyway:
+a projection's remainder is that residual, with no second product.  The projections below pass an optional ``SolverTally``
 through, and ``least_squares`` counts itself into it, which is how the
 inference loops account for solver work and notice a solve whose residual
 check failed.
