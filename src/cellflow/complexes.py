@@ -45,7 +45,10 @@ class InvalidCell(Exception):
 
 
 class UnionFind:
-    """Disjoint-set forest with path compression and union by size."""
+    """Disjoint-set forest with path compression and union by size.
+
+    ``forest_size`` and ``synth`` use it, and the tests take it as the
+    reference for ``kruskal``, which keeps its own union-find inline."""
 
     def __init__(self, n):
         self.parent = list(range(n))
@@ -506,15 +509,28 @@ def kruskal(graph, order, forest):
     after a yield, ``tree_cycle(graph, forest, edge)`` is that edge's cell;
     once the generator is exhausted, ``forest`` is the whole spanning
     forest.  It is whole already once it holds ``graph.forest_size`` edges:
-    every later edge closes a cycle, so a caller may stop there."""
-    uf = UnionFind(graph.node_count)
+    every later edge closes a cycle, so a caller may stop there.
+
+    ``order`` may be any iterable of edge ids, taken lazily, and ``forest``
+    anything with an ``add`` (a ``set``, say).  The union-find runs inline,
+    with path halving and no method call per edge: any correct union-find
+    accepts and rejects the same edges, so the forest is the same as
+    ``UnionFind.union`` would grow."""
+    parent = list(range(graph.node_count))
+    edges = graph.edges
+    add = forest.add
     for e in order:
         e = int(e)
-        u, v = graph.edges[e]
-        if uf.union(u, v):
-            forest.add(e)
-        else:
+        u, v = edges[e]
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u == v:
             yield e
+        else:
+            parent[u] = v
+            add(e)
 
 
 def heaviest_tree_cycles(graph, weights, count):
@@ -547,7 +563,7 @@ def heaviest_tree_cycles(graph, weights, count):
     head = np.arange(m)
     if used < m:
         head = np.flatnonzero(heavy <= np.partition(heavy, used - 1)[used - 1])
-    order = head[np.lexsort((head, heavy[head]))]
+    order = head[np.lexsort((head, heavy[head]))].tolist()
     forest = Forest(graph)
     closing = kruskal(graph, order, forest)
     # zip takes from range first, so kruskal is not resumed past ``count``.

@@ -142,10 +142,10 @@ class InferenceTrace:
 def _align_sign(b, boundary):
     """Flip the boundary's global sign so it agrees with ``b`` on the cycle
     edge with the largest |b| (ties: lowest edge id; zero weight: keep)."""
-    weights = np.abs(b[boundary.edges])
-    j = int(boundary.edges[np.argmax(weights)])
-    value = b[j]
-    if value != 0 and (1 if value > 0 else -1) != boundary.sign_of(j):
+    on_cycle = b[boundary.edges]
+    at = int(np.argmax(np.abs(on_cycle)))
+    value = on_cycle[at]
+    if value != 0 and (1 if value > 0 else -1) != boundary.signs[at]:
         return -boundary
     return boundary
 

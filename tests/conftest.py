@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from cellflow import hodge
@@ -32,3 +33,21 @@ def exact_losses_counted(monkeypatch):
 
     monkeypatch.setattr(hodge, "_exact_losses", counting)
     return counted
+
+
+@pytest.fixture
+def with_extremes():
+    """A function returning a copy of an array with about a fifth of its
+    entries replaced by exact zeros of both signs and by values of tiny
+    (subnormal, or underflowing when multiplied) and huge magnitude.
+    Products of two of them, and their squares, stay finite."""
+    rng = np.random.default_rng(29)
+    extremes = np.array([0.0, -0.0, 5e-324, -1e-300, 1e-160, -1e70, 1e60])
+
+    def replace(array):
+        out = np.array(array, dtype=np.float64)
+        hit = rng.random(out.shape) < 0.2
+        out[hit] = rng.choice(extremes, int(hit.sum()))
+        return out
+
+    return replace

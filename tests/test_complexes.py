@@ -470,6 +470,40 @@ def reference_random_tree_cell(graph, rng):
     return reference_tree_cell(graph, tree, closing)
 
 
+def reference_kruskal(graph, order):
+    """Kruskal through ``UnionFind.union``: the closing edges, and the
+    forest's edges in the order they were added."""
+    uf = UnionFind(graph.node_count)
+    closing, tree = [], []
+    for e in order:
+        (tree if uf.union(*graph.edges[e]) else closing).append(int(e))
+    return closing, tree
+
+
+@pytest.mark.parametrize("forest_kind", ["Forest", "set"])
+@pytest.mark.parametrize("order_kind", ["list", "ndarray", "range"])
+def test_kruskal_takes_any_order_iterable_and_forest(order_kind, forest_kind):
+    # One order given as a list, an ndarray or (the identity order) a range
+    # closes the edges the UnionFind reference closes, as ints, and grows
+    # the same forest: the same edge set and each node's adjacency order.
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        n = int(rng.integers(1, 10))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        keep = rng.random(len(pairs)) < rng.uniform(0.2, 0.9)
+        graph = OrientedGraph(n + int(rng.integers(0, 2)), [p for p, k in zip(pairs, keep) if k])
+        m = graph.edge_count
+        order = np.arange(m) if order_kind == "range" else rng.permutation(m)
+        given = {"list": order.tolist(), "ndarray": order, "range": range(m)}[order_kind]
+        forest = Forest(graph) if forest_kind == "Forest" else set()
+        closing = list(kruskal(graph, given, forest))
+        want_closing, want_tree = reference_kruskal(graph, order)
+        assert closing == want_closing and all(type(e) is int for e in closing)
+        assert set(forest) == set(want_tree)
+        if forest_kind == "Forest":
+            assert forest.adjacency == forest_of(graph, want_tree).adjacency
+
+
 def outcome(function, *args):
     try:
         return function(*args)

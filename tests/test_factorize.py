@@ -283,17 +283,22 @@ class TestColumnScores:
         fact = Factorization(np.array([[1.0], [0.0], [0.0]]), np.array([[1.0]]), "svd", 1)
         assert column_scores(H, fact)[0] == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("entries", ["normal", "zeros and extremes"])
     @pytest.mark.parametrize("layout", ["C", "F", "strided"])
-    def test_equal_to_outer_formula(self, layout):
-        # Scores through the reused buffer are == the np.outer formula.
+    def test_equal_to_outer_formula(self, layout, entries, with_extremes):
+        # Scores through the reused buffer are == the np.outer formula, also
+        # where products are zeros of either sign, underflow or are huge.
         rng = np.random.default_rng(12)
         H = _harmonic_flows(2)
+        B = rng.standard_normal((H.shape[0], 5))
+        C = rng.standard_normal((5, H.shape[1]))
+        if entries == "zeros and extremes":
+            H, B, C = with_extremes(H), with_extremes(B), with_extremes(C)
         if layout == "F":
             H = np.asfortranarray(H)
         elif layout == "strided":
             H = np.repeat(H, 2, axis=1)[:, ::2]
-        fact = Factorization(rng.standard_normal((H.shape[0], 5)),
-                             rng.standard_normal((5, H.shape[1])), "svd", 5)
+        fact = Factorization(B, C, "svd", 5)
         assert np.array_equal(column_scores(H, fact), _reference_column_scores(H, fact))
 
     def test_permutation_equivariance(self):

@@ -17,6 +17,7 @@ from cellflow.complexes import (
 from cellflow.factorize import Factorization
 from cellflow import hodge
 from cellflow.hodge import (
+    RankOneScores,
     SolverTally,
     approx_harmonic_update,
     curl_basis,
@@ -279,10 +280,13 @@ class TestHarmonicProjection:
         expected = [2 / 3, 1 / 3, -1.0, -1 / 3, 1.0, 0.0]
         assert out == pytest.approx(expected, abs=1e-8)
 
-    def test_non_finite_flows_rejected(self):
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("cells", [0, 1])
+    def test_non_finite_flows_rejected(self, cells, bad):
+        # with no cell there is no solve, so the projection checks itself
         g = t3()
-        cpx = CellComplex(g, [validate_cycle(g, [0, 1, 2, 0])])
-        flows = np.array([1.0, np.nan, 0.5])
+        cpx = CellComplex(g, [validate_cycle(g, [0, 1, 2, 0])][:cells])
+        flows = np.array([1.0, bad, 0.5])
         tally = SolverTally()
         with pytest.raises(ValueError, match="finite"):
             harmonic_projection(cpx, flows, tally)
@@ -664,12 +668,18 @@ class TestRankOneScores:
             (planted.graph.edge_count, s)))
         return before, harmonic_projection(before, F), list(planted.cells[3:])
 
+    @pytest.mark.parametrize("entries", ["scored", "zeros and extremes"])
     @pytest.mark.parametrize("s", [1, 5])
-    def test_losses_equal_the_outer_formula(self, s):
-        # Losses through the reused buffer are == one np.outer per candidate.
+    def test_losses_equal_the_outer_formula(self, s, entries, with_extremes):
+        # Losses through the reused buffer are == one np.outer per candidate,
+        # also where products are zeros of either sign, underflow or are huge.
         before, h, candidates = self.planted_prefix_and_rest(s)
         scores = rank_one_scores(curl_basis(before), h, candidates)
         h2 = h.reshape(h.shape[0], -1)
+        if entries == "zeros and extremes":
+            h2 = with_extremes(h2)
+            scores = RankOneScores(h2, with_extremes(scores.directions),
+                                   with_extremes(scores.weights))
         expected = [np.linalg.norm(h2 - np.outer(scores.directions[:, i], scores.weights[i]))
                     for i in range(len(candidates))]
         assert scores.losses.tolist() == expected
