@@ -283,16 +283,19 @@ class TestColumnScores:
         fact = Factorization(np.array([[1.0], [0.0], [0.0]]), np.array([[1.0]]), "svd", 1)
         assert column_scores(H, fact)[0] == pytest.approx(2.0)
 
-    @pytest.mark.parametrize("entries", ["normal", "zeros and extremes"])
-    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
-    def test_equal_to_outer_formula(self, layout, entries, with_extremes):
+    @pytest.mark.parametrize("layout, extremes", [
+        ("C", False), ("F", False), ("strided", False),
+        ("C", True), ("F", True), ("strided", True),
+    ], ids=["C", "F", "strided", "C-zeros and extremes", "F-zeros and extremes",
+            "strided-zeros and extremes"])
+    def test_equal_to_outer_formula(self, layout, extremes, with_extremes):
         # Scores through the reused buffer are == the np.outer formula, also
         # where products are zeros of either sign, underflow or are huge.
         rng = np.random.default_rng(12)
         H = _harmonic_flows(2)
         B = rng.standard_normal((H.shape[0], 5))
         C = rng.standard_normal((5, H.shape[1]))
-        if entries == "zeros and extremes":
+        if extremes:
             H, B, C = with_extremes(H), with_extremes(B), with_extremes(C)
         if layout == "F":
             H = np.asfortranarray(H)
