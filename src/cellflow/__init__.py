@@ -29,7 +29,6 @@ from .complexes import (
 from .hodge import (
     ApproxUpdateResult,
     LeastSquaresResult,
-    SolverTally,
     approx_harmonic_update,
     harmonic_projection,
     hodge_decompose,

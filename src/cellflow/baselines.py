@@ -99,8 +99,8 @@ def infer_random(graph, flows, total_cells, rng, timer=None):
     drawn fresh the run stops short.  The exact loss recorded per iteration
     is reporting only: once the clock has stopped, ``_greedy_loop``
     projects the gradient-free flows against each record's complex, one
-    least-squares solve per record that is neither counted as a solver
-    call nor timed.
+    ``hodge.least_squares`` solve per record that is neither timed nor in
+    the trace's solver count.
     """
     if total_cells < 1:
         raise ValueError("total_cells must be >= 1")

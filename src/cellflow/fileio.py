@@ -153,6 +153,8 @@ def read_flows(path, edge_count=None):
             rows.append([float(x) for x in parts[1:]])
         except ValueError:
             _fail(path, i, f"non-numeric field in {line!r}")
+    if not rows:
+        _fail(path, head_no, "flow file has no edge rows")
     flows = np.array(rows, dtype=np.float64)
     if edge_count is not None and flows.shape[0] != edge_count:
         _fail(path, lines[-1][0], f"expected {edge_count} edge rows, found {flows.shape[0]}")

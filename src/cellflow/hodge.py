@@ -21,16 +21,17 @@ Laplacian for gradient removal, k x k for the curl span of k cells), with
 no iteration budget and no settings.  It takes A as CSC, the format the
 boundary matrix is built in, so A^T is CSR with no conversion, and it
 returns the residual ``Y - A x`` that its convergence check forms anyway:
-a projection's remainder is that residual, with no second product.  The projections below pass an optional ``SolverTally``
-through, and ``least_squares`` counts itself into it, which is how the
-inference loops account for solver work and notice a solve whose residual
-check failed.
+a projection's remainder is that residual, with no second product, and
+its ``converged`` flag tells a caller whether the residual check passed.
+The projections below validate nothing themselves: ``least_squares``
+rejects scalar flows, flows with the wrong row count and flows with a
+NaN or inf entry, and on the empty boundary matrix of a complex with no
+cells it returns the flows unchanged, as a fresh array.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -43,20 +44,6 @@ _RANK_CUTOFF = 1e-10
 #: The ``converged`` check of ``least_squares`` and its rounding floor.
 _RESIDUAL_TOLERANCE = 1e-8
 _ROUNDING_FLOOR = 1e-13
-
-
-@dataclass
-class SolverTally:
-    """Mutable accumulator for solver-call accounting in inference loops;
-    ``nonconverged`` counts the calls whose solution failed the residual
-    check of ``least_squares``."""
-
-    calls: int = 0
-    nonconverged: int = 0
-
-    def count(self, result):
-        self.calls += 1
-        self.nonconverged += not result.converged
 
 
 class LeastSquaresResult(NamedTuple):
@@ -91,7 +78,7 @@ def _gram_solve(gram, rhs):
     return V @ ((V.T @ rhs) / w[:, None]), len(w)
 
 
-def least_squares(A, Y, tally=None):
+def least_squares(A, Y):
     """Minimum-norm least-squares solve of ``A x = y`` for every column of Y.
 
     Direct: with A^T A = V diag(w) V^T (``np.linalg.eigh``), the solution is
@@ -101,8 +88,10 @@ def least_squares(A, Y, tally=None):
     ``||A^T (y - A x)|| <= 1e-8 ||A^T y||`` on the true residual (or the
     rounding floor 1e-13 ||A|| ||y||), and False otherwise: a direction of A
     small enough to fall under the cutoff is left out of x, and the check
-    notices.  A or Y with a NaN or inf entry (or norms that overflow)
-    raises ``ValueError`` before the solve; the norms of the floor test it.
+    notices.  A 0-d Y, a Y whose row count is not A's, and A or Y with a
+    NaN or inf entry (or norms that overflow) raise ``ValueError`` before
+    the solve; the norms of the floor test finiteness.  An A with no
+    columns returns Y as it stands, converged, as a fresh array.
 
     Parameters
     ----------
@@ -111,8 +100,6 @@ def least_squares(A, Y, tally=None):
         dense A, exact for the small-integer incidence and boundary
         matrices.
     Y : (p,) or (p, s) array
-    tally : SolverTally, optional
-        Counts this call and its convergence.
 
     Returns
     -------
@@ -122,6 +109,8 @@ def least_squares(A, Y, tally=None):
     """
     A = sparse.csc_matrix(A, dtype=np.float64)
     shape = np.shape(Y)
+    if not shape:
+        raise ValueError("Y must have one row per row of A, not be a scalar")
     if A.shape[0] != shape[0]:
         raise ValueError(f"A has {A.shape[0]} rows but Y has {shape[0]}")
     Y = np.asarray(Y, dtype=np.float64).reshape(shape[0], -1)
@@ -140,53 +129,31 @@ def least_squares(A, Y, tally=None):
     target = np.maximum(_RESIDUAL_TOLERANCE * _column_norms(AtY), floor)
     ok = _column_norms(At @ residual) <= target
 
-    result = LeastSquaresResult(X.reshape(A.shape[1:] + shape[1:]), 0, bool(ok.all()),
-                                residual.reshape(shape))
-    if tally is not None:
-        tally.count(result)
-    return result
+    return LeastSquaresResult(X.reshape(A.shape[1:] + shape[1:]), 0, bool(ok.all()),
+                              residual.reshape(shape))
 
 
-def _checked_flows(graph, flows):
-    """``flows`` as float64, with one row per edge of ``graph``; anything
-    else raises ``ValueError`` before a solve.  Finiteness is checked where
-    no solve follows: ``least_squares`` rejects NaN and inf through the
-    column norms it takes anyway."""
-    flows = np.asarray(flows, dtype=np.float64)
-    if flows.shape[0] != graph.edge_count:
-        raise ValueError("flow matrix rows must equal the graph's edge count")
-    return flows
-
-
-def remove_gradient(graph, flows, tally=None):
+def remove_gradient(graph, flows):
     """Strip the gradient component: returns flows minus the projection onto
-    the image of the transposed incidence matrix.  Counted as one solver
-    call.  Non-finite flows raise ``ValueError`` before the solve (from
-    ``least_squares``, which then counts no call)."""
-    flows = _checked_flows(graph, flows)
-    return least_squares(graph.incidence().T, flows, tally).residual
+    the image of the transposed incidence matrix, by one ``least_squares``
+    solve, which rejects flows without one finite row per edge."""
+    return least_squares(graph.incidence().T, flows).residual
 
 
-def harmonic_projection(complex_, flows, tally=None):
+def harmonic_projection(complex_, flows):
     """Harmonic component of gradient-free flows: the residual after removing
     the curl component (projection onto the boundary matrix's image).
 
     ``flows`` must already be gradient-free (run remove_gradient first); for
-    a complex with zero cells this returns the flows unchanged, with no
-    solve.  Non-finite flows raise ``ValueError``, as in remove_gradient,
-    with or without cells."""
-    flows = _checked_flows(complex_.graph, flows)
-    if complex_.cell_count == 0:
-        if not np.isfinite(flows).all():
-            raise ValueError("flows must be finite: the flow matrix holds NaN or inf")
-        return flows.copy()
-    B2 = complex_.boundary_matrix(dtype=np.float64)
-    return least_squares(B2, flows, tally).residual
+    a complex with zero cells the boundary matrix has no column, and this
+    returns the flows unchanged, as a fresh array.  Input is checked as in
+    remove_gradient, with or without cells."""
+    return least_squares(complex_.boundary_matrix(dtype=np.float64), flows).residual
 
 
-def loss(complex_, flows, tally=None):
+def loss(complex_, flows):
     """Frobenius norm of the harmonic component of gradient-free flows."""
-    return float(np.linalg.norm(harmonic_projection(complex_, flows, tally)))
+    return float(np.linalg.norm(harmonic_projection(complex_, flows)))
 
 
 def _orthonormal_extension(basis, vectors, scales):
@@ -386,7 +353,7 @@ def rank_one_scores(basis, flows_h, candidates):
     return RankOneScores(h, bh, weights)
 
 
-def hodge_decompose(graph, complex_, flows, tally=None):
+def hodge_decompose(graph, complex_, flows):
     """Split raw flows into (gradient, curl, harmonic) components.
 
     Convenience wrapper: gradient removal on the raw flows, then the curl
@@ -394,9 +361,9 @@ def hodge_decompose(graph, complex_, flows, tally=None):
     by construction; their pairwise orthogonality is what the solves buy.
     """
     flows = np.asarray(flows, dtype=np.float64)
-    gradient_free = remove_gradient(graph, flows, tally)
+    gradient_free = remove_gradient(graph, flows)
     grad = flows - gradient_free
-    harm = harmonic_projection(complex_, gradient_free, tally)
+    harm = harmonic_projection(complex_, gradient_free)
     curl = gradient_free - harm
     return grad, curl, harm
 
@@ -413,8 +380,8 @@ def approx_harmonic_update(h_prev, chosen, fact):
     integers, and the right-hand side is formed in the factor's rank-r
     space, so the edges-by-samples product ``B @ C`` is never formed.  The
     solve shares ``least_squares``' eigendecomposition and rank cutoff, but
-    it does not go through ``least_squares`` and is not counted as a solver
-    call.
+    it does not go through ``least_squares``, so the inference loops'
+    solver counts leave it out.
 
     Returns
     -------

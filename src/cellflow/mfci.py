@@ -39,14 +39,10 @@ from .factorize import (
     select_columns,
     truncated_svd,
 )
-from .hodge import (
-    SolverTally,
-    approx_harmonic_update,
-    curl_basis,
-    loss,
-    rank_one_scores,
-    remove_gradient,
-)
+# The solve is looked up through the module, so a wrapper installed on
+# ``hodge.least_squares`` sees every call.
+from . import hodge
+from .hodge import approx_harmonic_update, curl_basis, rank_one_scores
 
 
 class GraphIsForest(ValueError):
@@ -305,26 +301,29 @@ def _greedy_loop(graph, flows, total_cells, timer, steps):
     """The greedy loop of MFCI, SPH and the random baseline.
 
     A graph without a cycle raises ``GraphIsForest`` before any solve.
-    The gradient is removed once, by the run's one counted solve, and the
-    start is recorded as iteration 0.  ``steps(complex_, flows0)`` is a
+    The gradient is removed once, by the run's one ``hodge.least_squares``
+    solve against the transposed incidence matrix, and the start is
+    recorded as iteration 0.  ``steps(complex_, flows0)`` is a
     generator that grows the complex through ``add_cells``, yields
     ``(complex_, added, loss, notes)`` per iteration and returns to stop
     early.  It is resumed only while the complex holds fewer than
     ``total_cells`` cells, so each step must fit the remaining budget.
-    Steps solve nothing, so the solver count of every record is gradient
-    removal's one call, and only record 0 can carry a "solver-nonconverged"
-    note.  The solve is direct, so ``cumulative_solver_iterations`` is 0.
+    Steps solve nothing, so every record's ``cumulative_solver_calls`` is
+    1, gradient removal's call, and only record 0 can carry a
+    "solver-nonconverged" note (from that call's ``converged`` flag).  The
+    solve is direct, so ``cumulative_solver_iterations`` is 0.
 
     Trace policy: ``loss`` is the exact loss after the iteration, as the step
     yields it (||h|| of the exact harmonic flows that SPH and MFCI carry
     by the added cells' scoring directions) or, where it yields None
     (MFCI-approximate without evaluation, random), from a reporting
     recompute.  The clock stops with the last step, and the recompute runs
-    after it, so it is neither timed nor counted: each such record takes
-    ``hodge.loss`` of the gradient-free flows against its own complex, one
-    least-squares solve over all the flow columns.  A record whose
-    reporting solve failed its residual check gets a "report-nonconverged"
-    note after the step's own notes.  Returns ``(complex, trace)``.
+    after it, so it is neither timed nor in the solver count: each such
+    record takes the norm of the ``hodge.least_squares`` residual of the
+    gradient-free flows against its own complex's boundary matrix, one
+    solve over all the flow columns.  A record whose reporting solve
+    failed its residual check gets a "report-nonconverged" note after the
+    step's own notes.  Returns ``(complex, trace)``.
     """
     flows = _flow_matrix(graph, flows)
     if graph.forest_size == graph.edge_count:
@@ -332,11 +331,11 @@ def _greedy_loop(graph, flows, total_cells, timer, steps):
     if timer is None:
         timer = make_timer()
 
-    tally = SolverTally()
     t0 = timer()
-    flows0 = remove_gradient(graph, flows, tally)
+    gradient = hodge.least_squares(graph.incidence().T, flows)
+    flows0 = gradient.residual
     complex_ = CellComplex(graph)
-    start_notes = ("solver-nonconverged",) if tally.nonconverged else ()
+    start_notes = () if gradient.converged else ("solver-nonconverged",)
     # (complex, added, loss or None, notes, seconds) per record, timed
     timed = [(complex_, (), float(np.linalg.norm(flows0)), start_notes, timer() - t0)]
     iterations = steps(complex_, flows0)
@@ -350,12 +349,12 @@ def _greedy_loop(graph, flows, total_cells, timer, steps):
     records = []
     for iteration, (after, added, value, notes, seconds) in enumerate(timed):
         if value is None:
-            report = SolverTally()
-            value = loss(after, flows0, report)
-            if report.nonconverged:
+            report = hodge.least_squares(after.boundary_matrix(dtype=np.float64), flows0)
+            value = float(np.linalg.norm(report.residual))
+            if not report.converged:
                 notes += ("report-nonconverged",)
         records.append(IterationRecord(iteration, added, after.cell_count, value, seconds,
-                                       tally.calls, 0, notes))
+                                       1, 0, notes))
     return complex_, InferenceTrace(tuple(records))
 
 

@@ -82,6 +82,12 @@ class TestFileFormats:
         with pytest.raises(ParseError, match="expected 3 edge rows"):
             read_flows(bad, edge_count=3)
 
+    def test_flow_file_header_without_rows(self, tmp_path):
+        bad = tmp_path / "flows.csv"
+        bad.write_text("edge_id,f0,f1\n\n")
+        with pytest.raises(ParseError, match="flows.csv:1: flow file has no edge rows"):
+            read_flows(bad)
+
     def test_flow_file_bad_header(self, tmp_path):
         bad = tmp_path / "flows.csv"
         bad.write_text("edge,f0\n0,1.5\n")

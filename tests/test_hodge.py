@@ -18,7 +18,6 @@ from cellflow.factorize import Factorization
 from cellflow import hodge
 from cellflow.hodge import (
     RankOneScores,
-    SolverTally,
     approx_harmonic_update,
     curl_basis,
     harmonic_projection,
@@ -55,6 +54,10 @@ def _two_component_incidence():
     """The transposed incidence of two disjoint cycles, of rank n - 2."""
     g = OrientedGraph(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)])
     return g.incidence().T.astype(np.float64)
+
+
+def unreached_solve(*args):
+    raise AssertionError("the solve ran on input it should have rejected")
 
 
 def _random_sparse():
@@ -145,10 +148,7 @@ class TestLeastSquares:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", ["A dense", "A sparse", "1-d Y", "2-d Y"])
     def test_non_finite_input_rejected_before_the_solve(self, bad, where, monkeypatch):
-        def unreached(*args):
-            raise AssertionError("the solve ran on non-finite input")
-
-        monkeypatch.setattr(hodge, "_gram_solve", unreached)
+        monkeypatch.setattr(hodge, "_gram_solve", unreached_solve)
         A = np.eye(3)
         Y = np.array([[1.0, 2.0], [0.5, 0.0], [0.5, 1.0]])
         if where.startswith("A"):
@@ -157,23 +157,30 @@ class TestLeastSquares:
         else:
             Y[1, -1] = bad
             Y = Y[:, -1] if where == "1-d Y" else Y
-        tally = SolverTally()
         with pytest.raises(ValueError, match="must be finite"):
-            least_squares(A, Y, tally)
-        assert tally.calls == 0
+            least_squares(A, Y)
+
+    @pytest.mark.parametrize("Y", [np.array([1.0, -0.0, 0.0, -2.5]),
+                                   np.array([[1.0, -0.0], [0.0, -0.0], [5e-324, -1e70]])],
+                             ids=["1-d Y", "2-d Y"])
+    def test_no_columns_returns_y_bit_for_bit(self, Y):
+        res = least_squares(sparse.csc_matrix((Y.shape[0], 0)), Y)
+        assert res.converged
+        assert res.solution.shape == (0,) + Y.shape[1:]
+        assert res.residual.shape == Y.shape
+        assert res.residual.tobytes() == Y.tobytes()
+        assert not np.shares_memory(res.residual, Y)
 
     def test_finite_zero_input_is_accepted(self):
         # the norms that test finiteness are 0 here, which is finite
         res = least_squares(sparse.csc_matrix((3, 2)), np.zeros(3))
         assert res.converged and not res.solution.any() and not res.residual.any()
 
-    def test_counts_itself_into_tally(self):
+    def test_converged_flag(self):
         rng = np.random.default_rng(4)
         A = sparse.csr_matrix(rng.standard_normal((50, 30)))
-        tally = SolverTally()
-        assert least_squares(A, rng.standard_normal(50), tally).converged
-        least_squares(sparse.diags([1.0, 1e-6]), np.ones(2), tally)
-        assert (tally.calls, tally.nonconverged) == (2, 1)
+        assert least_squares(A, rng.standard_normal(50)).converged is True
+        assert least_squares(sparse.diags([1.0, 1e-6]), np.ones(2)).converged is False
 
     def test_zero_rhs_is_free(self):
         A = sparse.csr_matrix(np.array([[1.0], [1.0], [-1.0]]))
@@ -239,19 +246,13 @@ class TestRemoveGradient:
         B1 = g.incidence().toarray().astype(float)
         assert np.abs(B1 @ out).max() < 1e-7
 
-    def test_tally_counts_one_call(self):
-        tally = SolverTally()
-        remove_gradient(t3(), np.array([1.0, 0.0, 1.0]), tally=tally)
-        assert tally.calls == 1
-
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_flows_rejected_before_the_solve(self, bad):
+    def test_non_finite_flows_rejected_before_the_solve(self, bad, monkeypatch):
         flows = np.ones((3, 2))
         flows[1, 0] = bad
-        tally = SolverTally()
+        monkeypatch.setattr(hodge, "_gram_solve", unreached_solve)
         with pytest.raises(ValueError, match="finite"):
-            remove_gradient(t3(), flows, tally)
-        assert tally.calls == 0
+            remove_gradient(t3(), flows)
         # loss of the gradient-free flows, the public route that used to
         # return nan without an error
         with pytest.raises(ValueError, match="finite"):
@@ -264,6 +265,8 @@ class TestHarmonicProjection:
         cpx = CellComplex(t3())
         out = harmonic_projection(cpx, F)
         assert np.array_equal(out, F)
+        out[0] = 7.0
+        assert F[0] == 1.0
 
     def test_flow_in_curl_space_vanishes(self):
         g = t3()
@@ -280,20 +283,20 @@ class TestHarmonicProjection:
         expected = [2 / 3, 1 / 3, -1.0, -1 / 3, 1.0, 0.0]
         assert out == pytest.approx(expected, abs=1e-8)
 
-    def test_non_finite_flows_rejected(self):
+    def test_non_finite_flows_rejected(self, monkeypatch):
         g = t3()
         cpx = CellComplex(g, [validate_cycle(g, [0, 1, 2, 0])])
         flows = np.array([1.0, np.nan, 0.5])
-        tally = SolverTally()
+        monkeypatch.setattr(hodge, "_gram_solve", unreached_solve)
         with pytest.raises(ValueError, match="finite"):
-            harmonic_projection(cpx, flows, tally)
-        assert tally.calls == 0
+            harmonic_projection(cpx, flows)
         with pytest.raises(ValueError, match="finite"):
             loss(cpx, flows)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_flows_rejected_without_cells(self, bad):
-        # with no cell there is no solve, so the projection checks itself
+    def test_non_finite_flows_rejected_without_cells(self, bad, monkeypatch):
+        # the solve against the boundary matrix with no column checks them
+        monkeypatch.setattr(hodge, "_gram_solve", unreached_solve)
         cpx = CellComplex(t3())
         flows = np.array([1.0, bad, 0.5])
         with pytest.raises(ValueError, match="finite"):
@@ -308,6 +311,39 @@ class TestHarmonicProjection:
         once = harmonic_projection(cpx, F)
         twice = harmonic_projection(cpx, once)
         assert np.allclose(once, twice, atol=1e-7)
+
+
+def _t3_with_cell():
+    g = t3()
+    return CellComplex(g, [validate_cycle(g, [0, 1, 2, 0])])
+
+
+# name -> call of a public solve or projection on t3 (3 edges) and flows Y
+SOLVES_ON_T3 = {
+    "least_squares": lambda Y: least_squares(t3().incidence().T, Y),
+    "remove_gradient": lambda Y: remove_gradient(t3(), Y),
+    "hodge_decompose": lambda Y: hodge_decompose(t3(), _t3_with_cell(), Y),
+    "harmonic_projection with a cell": lambda Y: harmonic_projection(_t3_with_cell(), Y),
+    "harmonic_projection without cells": lambda Y: harmonic_projection(CellComplex(t3()), Y),
+    "loss with a cell": lambda Y: loss(_t3_with_cell(), Y),
+    "loss without cells": lambda Y: loss(CellComplex(t3()), Y),
+}
+
+
+@pytest.mark.parametrize("rows", [2, 4])
+@pytest.mark.parametrize("name", sorted(SOLVES_ON_T3))
+def test_wrong_row_count_rejected_before_the_solve(name, rows, monkeypatch):
+    monkeypatch.setattr(hodge, "_gram_solve", unreached_solve)
+    with pytest.raises(ValueError, match=f"3 rows but Y has {rows}"):
+        SOLVES_ON_T3[name](np.ones((rows, 2)))
+
+
+@pytest.mark.parametrize("name", ["least_squares", "remove_gradient",
+                                  "harmonic_projection with a cell", "loss with a cell"])
+def test_scalar_flows_rejected_before_the_solve(name, monkeypatch):
+    monkeypatch.setattr(hodge, "_gram_solve", unreached_solve)
+    with pytest.raises(ValueError, match="not be a scalar"):
+        SOLVES_ON_T3[name](3.0)
 
 
 def old_projection(A, flows):
