@@ -58,9 +58,9 @@ def main(argv=None):
             value = harness.evaluate_cells_from_config(args.config)
             print(format(value, ".9g"))
         elif args.command == "bench":
-            cfg = harness.experiment_from_config(args.config, args.out, args.seed)
             raw = harness.read_config(args.config)
-            algos = tuple(raw.get("bench.algos", "mfci sph random").split())
+            algos = tuple(raw.get("bench.algos", "").split()) or harness.ALGORITHMS
+            cfg = harness.experiment_from_config(args.config, args.out, args.seed, algos[0])
             path = harness.run_bench(cfg, algos)
             print(f"bench table written to {path}")
     except (ParseError, InvariantViolation, ValueError, OSError) as exc:

@@ -8,11 +8,17 @@ Cell file:   one ``<edge_id> <cell_id> <sign>`` triplet per nonzero of the
 Flow CSV:    header ``edge_id,f0,...,f{s-1}``, one row per edge in id
              order; floats are written with 17 significant digits so a
              round trip is exact.
-Meta/config: flat ``key = value`` lines with dotted keys, ``#`` comments.
+Meta/config: flat ``key = value`` lines with dotted keys; a line whose
+             first non-blank character is ``#`` is a comment, and a ``#``
+             later in a line is part of its value.  ``CONFIG_SECTIONS``
+             lists the keys that bind a config object.
+
+Every reader skips blank lines and names the 1-based line of an error.
 """
 
 from __future__ import annotations
 
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +38,21 @@ def _fail(path, lineno, reason):
     raise ParseError(f"{path}:{lineno}: {reason}")
 
 
+def numbered_lines(path):
+    """An iterator of ``(line number, text)`` over the non-blank lines of
+    ``path``, numbered from 1.
+
+    Raises
+    ------
+    ParseError
+        When ``path`` does not exist.
+    """
+    if not Path(path).exists():
+        raise ParseError(f"{path}: file not found")
+    lines = Path(path).read_text().splitlines()
+    return compress(enumerate(lines, start=1), map(str.strip, lines))
+
+
 def write_edge_list(path, graph):
     lines = [f"nodes {graph.node_count}"]
     lines += [f"{u} {v}" for u, v in graph.edges]
@@ -39,23 +60,19 @@ def write_edge_list(path, graph):
 
 
 def read_edge_list(path):
-    path = Path(path)
-    if not path.exists():
-        raise ParseError(f"{path}: file not found")
-    lines = path.read_text().splitlines()
-    if not lines:
+    lines = numbered_lines(path)
+    head_no, head_line = next(lines, (1, None))
+    if head_line is None:
         _fail(path, 1, "missing 'nodes <n>' header")
-    head = lines[0].split()
+    head = head_line.split()
     if len(head) != 2 or head[0] != "nodes":
-        _fail(path, 1, f"expected 'nodes <n>' header, got {lines[0]!r}")
+        _fail(path, head_no, f"expected 'nodes <n>' header, got {head_line!r}")
     try:
         n = int(head[1])
     except ValueError:
-        _fail(path, 1, f"node count {head[1]!r} is not an integer")
+        _fail(path, head_no, f"node count {head[1]!r} is not an integer")
     edges = []
-    for i, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
+    for i, line in lines:
         parts = line.split()
         if len(parts) != 2:
             _fail(path, i, f"expected '<source> <target>', got {line!r}")
@@ -80,13 +97,8 @@ def write_cells(path, cells):
 def read_cells(path, graph):
     """Parse boundary triplets into CellBoundary objects (cell ids must be
     0..k-1); invariants are checked by the caller building the complex."""
-    path = Path(path)
-    if not path.exists():
-        raise ParseError(f"{path}: file not found")
     entries = {}
-    for i, line in enumerate(path.read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
+    for i, line in numbered_lines(path):
         parts = line.split()
         if len(parts) != 3:
             _fail(path, i, f"expected '<edge_id> <cell_id> <sign>', got {line!r}")
@@ -128,14 +140,10 @@ def write_flows(path, flows):
 
 
 def read_flows(path, edge_count=None):
-    path = Path(path)
-    if not path.exists():
-        raise ParseError(f"{path}: file not found")
-    lines = [(i, l) for i, l in enumerate(path.read_text().splitlines(), start=1)
-             if l.strip()]
-    if not lines:
+    lines = numbered_lines(path)
+    head_no, head = next(lines, (1, None))
+    if head is None:
         _fail(path, 1, "empty flow file")
-    head_no, head = lines[0]
     header = head.split(",")
     if header[0] != "edge_id" or any(h != f"f{i}" for i, h in enumerate(header[1:])):
         _fail(path, head_no, f"bad header {head!r}")
@@ -143,7 +151,7 @@ def read_flows(path, edge_count=None):
     if s == 0:
         _fail(path, head_no, "flow file has no flow columns")
     rows = []
-    for edge, (i, line) in enumerate(lines[1:]):
+    for edge, (i, line) in enumerate(lines):
         parts = line.split(",")
         if len(parts) != s + 1:
             _fail(path, i, f"expected {s + 1} fields, got {len(parts)}")
@@ -157,7 +165,7 @@ def read_flows(path, edge_count=None):
         _fail(path, head_no, "flow file has no edge rows")
     flows = np.array(rows, dtype=np.float64)
     if edge_count is not None and flows.shape[0] != edge_count:
-        _fail(path, lines[-1][0], f"expected {edge_count} edge rows, found {flows.shape[0]}")
+        _fail(path, i, f"expected {edge_count} edge rows, found {flows.shape[0]}")
     if not np.all(np.isfinite(flows)):
         raise InvariantViolation(f"{path}: non-finite flow value")
     return flows
@@ -168,18 +176,42 @@ def write_meta(path, mapping):
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
 
 
+# Config section -> {key: (field of the section's config object, cast)}, in
+# the order ``SynthConfig.as_mapping`` writes the synth keys to meta.txt.
+# A section's first key decides whether it is bound; fields without a
+# default are required.
+CONFIG_SECTIONS = {
+    "synth": {"synth.nodes": ("node_count", int),
+              "synth.edge_probability": ("edge_probability", float),
+              "synth.cells": ("planted_cells", int),
+              "synth.flows": ("flow_count", int),
+              "synth.cell_std": ("cell_std", float),
+              "synth.noise_std": ("noise_std", float),
+              "synth.seed": ("seed", int)},
+    "data": {"data.edges": ("edges", Path),
+             "data.flows": ("flows", Path),
+             "data.cells": ("cells", Path)},
+    "mfci": {"mfci.total_cells": ("total_cells", int),
+             "mfci.candidates": ("candidates_per_iteration", int),
+             "mfci.added": ("added_per_iteration", int),
+             "mfci.rank": ("factorization_rank", int),
+             "mfci.method": ("method", str),
+             "mfci.discretization": ("discretization", str),
+             "mfci.projection": ("projection", str)},
+    "sph": {"sph.total_cells": ("total_cells", int),
+            "sph.candidates": ("candidates_per_iteration", int)},
+}
+
+
 def parse_config(path):
-    """Flat ``key = value`` config: dotted keys, one per line, '#' comments,
-    each key at most once.  Returns the raw string mapping; typing happens
-    at the consumer."""
-    path = Path(path)
-    if not path.exists():
-        raise ParseError(f"{path}: file not found")
+    """Flat ``key = value`` config: dotted keys, one per line, each key at
+    most once; a line starting with '#' is a comment.  Returns the raw
+    string mapping; typing happens at the consumer."""
     out = {}
     first_line = {}
-    for i, line in enumerate(path.read_text().splitlines(), start=1):
+    for i, line in numbered_lines(path):
         stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        if stripped.startswith("#"):
             continue
         if "=" not in stripped:
             _fail(path, i, f"expected 'key = value', got {line!r}")

@@ -13,9 +13,9 @@ cumulative_solver_calls,cumulative_solver_iterations``; floats carry
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -85,18 +85,13 @@ class TraceRecord(NamedTuple):
     cumulative_solver_iterations: int
 
 
-TRACE_HEADER = "iteration,cells_total,loss,cumulative_seconds,cumulative_solver_calls,cumulative_solver_iterations"
+TRACE_HEADER = ",".join(TraceRecord._fields)
+_TRACE_TYPES = tuple(get_type_hints(TraceRecord).values())  # int or float, per column
 
 
 def _trace_row(r):
-    return ",".join([
-        str(r.iteration),
-        str(r.cells_total),
-        format(r.loss, ".9g"),
-        format(r.cumulative_seconds, ".9g"),
-        str(r.cumulative_solver_calls),
-        str(r.cumulative_solver_iterations),
-    ])
+    return ",".join(format(getattr(r, name), ".9g") if kind is float else str(getattr(r, name))
+                    for name, kind in zip(TraceRecord._fields, _TRACE_TYPES))
 
 
 def write_trace(records, path):
@@ -109,21 +104,17 @@ def write_trace(records, path):
 
 
 def read_trace(path):
-    path = Path(path)
-    if not path.exists():
-        raise ParseError(f"{path}: file not found")
-    lines = [(i, l) for i, l in enumerate(path.read_text().splitlines(), start=1)
-             if l.strip()]
-    if not lines or lines[0][1] != TRACE_HEADER:
-        raise ParseError(f"{path}:{lines[0][0] if lines else 1}: bad trace header")
+    lines = fileio.numbered_lines(path)
+    head_no, head = next(lines, (1, None))
+    if head != TRACE_HEADER:
+        raise ParseError(f"{path}:{head_no}: bad trace header")
     out = []
-    for i, line in lines[1:]:
+    for i, line in lines:
         parts = line.split(",")
-        if len(parts) != 6:
-            raise ParseError(f"{path}:{i}: expected 6 fields")
+        if len(parts) != len(_TRACE_TYPES):
+            raise ParseError(f"{path}:{i}: expected {len(_TRACE_TYPES)} fields")
         try:
-            out.append(TraceRecord(int(parts[0]), int(parts[1]), float(parts[2]),
-                                   float(parts[3]), int(parts[4]), int(parts[5])))
+            out.append(TraceRecord._make(kind(text) for kind, text in zip(_TRACE_TYPES, parts)))
         except ValueError:
             raise ParseError(f"{path}:{i}: non-numeric field in {line!r}") from None
     return out
@@ -235,15 +226,13 @@ def run_bench(cfg, algos, echo=print):
 # ---------------------------------------------------------------------------
 # Config-file binding
 
-CONFIG_KEYS = frozenset({
-    "algo", "run.seeds", "run.out", "run.timing", "bench.algos",
-    "synth.nodes", "synth.edge_probability", "synth.cells", "synth.flows",
-    "synth.cell_std", "synth.noise_std", "synth.seed",
-    "data.edges", "data.flows", "data.cells",
-    "mfci.total_cells", "mfci.candidates", "mfci.added", "mfci.rank", "mfci.method",
-    "mfci.discretization", "mfci.projection",
-    "sph.total_cells", "sph.candidates", "random.total_cells",
-})
+# The config object that each ``fileio.CONFIG_SECTIONS`` section binds, by
+# the name of its ``ExperimentConfig`` field.
+CONFIG_CLASSES = {"synth": SynthConfig, "data": DatasetPaths, "mfci": InferenceConfig,
+                  "sph": SphConfig}
+
+CONFIG_KEYS = frozenset({"algo", "run.seeds", "run.out", "run.timing", "bench.algos",
+                         "random.total_cells"}).union(*fileio.CONFIG_SECTIONS.values())
 
 
 def read_config(path):
@@ -256,22 +245,17 @@ def read_config(path):
     return raw
 
 
-def _need(raw, key, cast, default=None):
-    if key not in raw:
-        if default is not None:
-            return default
-        raise ValueError(f"missing config key {key!r}")
-    try:
-        return cast(raw[key])
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"config key {key!r}: {exc}") from exc
-
-
-def _opt(raw, key, cast, default=None):
-    if key not in raw or raw[key] == "":
+def _value(raw, key, cast, default):
+    """``cast`` of the value ``raw`` gives ``key``; ``default`` when the key
+    is unset or empty, where a ``default`` of ``MISSING`` means the key is
+    required."""
+    text = raw.get(key, "")
+    if text == "":
+        if default is MISSING:
+            raise ValueError(f"missing config key {key!r}")
         return default
     try:
-        return cast(raw[key])
+        return cast(text)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"config key {key!r}: {exc}") from exc
 
@@ -292,60 +276,19 @@ def _as_seeds(text):
     return seeds
 
 
-def _given(raw, fields):
-    """Keyword arguments for the optional ``fields`` (config key ->
-    (field name, cast)) that ``raw`` sets to a non-empty value, so the
-    config dataclass's own defaults apply to the rest."""
-    return {name: _opt(raw, key, cast) for key, (name, cast) in fields.items()
-            if raw.get(key, "") != ""}
-
-
-def synth_from_raw(raw):
-    if "synth.nodes" not in raw:
+def section_from_raw(raw, name):
+    """The config object of section ``name`` of ``fileio.CONFIG_SECTIONS``
+    (``CONFIG_CLASSES[name]``), or None when ``raw`` leaves the section's
+    first key out.  Each field takes its key's cast value, or the class
+    default when the key is unset or empty; a field without a default
+    raises ``ValueError`` naming its missing key."""
+    keys = fileio.CONFIG_SECTIONS[name]
+    if next(iter(keys)) not in raw:
         return None
-    return SynthConfig(
-        node_count=_need(raw, "synth.nodes", int),
-        edge_probability=_need(raw, "synth.edge_probability", float),
-        planted_cells=_need(raw, "synth.cells", int),
-        flow_count=_need(raw, "synth.flows", int),
-        **_given(raw, {"synth.cell_std": ("cell_std", float),
-                       "synth.noise_std": ("noise_std", float),
-                       "synth.seed": ("seed", int)}),
-    )
-
-
-def data_from_raw(raw):
-    if "data.edges" not in raw:
-        return None
-    cells = _opt(raw, "data.cells", Path, None)
-    return DatasetPaths(
-        edges=_need(raw, "data.edges", Path),
-        flows=_need(raw, "data.flows", Path),
-        cells=cells,
-    )
-
-
-def mfci_from_raw(raw):
-    if "mfci.total_cells" not in raw:
-        return None
-    return InferenceConfig(
-        total_cells=_need(raw, "mfci.total_cells", int),
-        **_given(raw, {"mfci.candidates": ("candidates_per_iteration", int),
-                       "mfci.added": ("added_per_iteration", int),
-                       "mfci.rank": ("factorization_rank", int),
-                       "mfci.method": ("method", str),
-                       "mfci.discretization": ("discretization", str),
-                       "mfci.projection": ("projection", str)}),
-    )
-
-
-def sph_from_raw(raw):
-    if "sph.total_cells" not in raw:
-        return None
-    return SphConfig(
-        total_cells=_need(raw, "sph.total_cells", int),
-        **_given(raw, {"sph.candidates": ("candidates_per_iteration", int)}),
-    )
+    cls = CONFIG_CLASSES[name]
+    defaults = {field.name: field.default for field in fields(cls)}
+    return cls(**{field: _value(raw, key, cast, defaults[field])
+                  for key, (field, cast) in keys.items()})
 
 
 def experiment_from_config(path, out_dir=None, seed=None, algo=None):
@@ -355,25 +298,22 @@ def experiment_from_config(path, out_dir=None, seed=None, algo=None):
     chosen_algo = algo or raw.get("algo")
     if chosen_algo is None:
         raise ValueError("missing config key 'algo' (or --algo flag)")
-    seeds = (seed,) if seed is not None else _opt(raw, "run.seeds", _as_seeds, (0,))
-    out = Path(out_dir) if out_dir is not None else Path(_need(raw, "run.out", str, "."))
+    seeds = (seed,) if seed is not None else _value(raw, "run.seeds", _as_seeds, (0,))
+    out = Path(out_dir) if out_dir is not None else _value(raw, "run.out", Path, Path("."))
     return ExperimentConfig(
         algo=chosen_algo,
         seeds=tuple(seeds),
         out_dir=out,
-        synth=synth_from_raw(raw),
-        data=data_from_raw(raw),
-        mfci=mfci_from_raw(raw),
-        sph=sph_from_raw(raw),
-        random_cells=_opt(raw, "random.total_cells", int, None),
-        timing=_opt(raw, "run.timing", _as_bool, True),
+        **{name: section_from_raw(raw, name) for name in CONFIG_CLASSES},
+        random_cells=_value(raw, "random.total_cells", int, None),
+        timing=_value(raw, "run.timing", _as_bool, True),
     )
 
 
 def synth_dataset_from_config(path, out_dir, seed=None):
     """The ``synth`` subcommand: generate one dataset and write it out."""
     raw = read_config(path)
-    synth = synth_from_raw(raw)
+    synth = section_from_raw(raw, "synth")
     if synth is None:
         raise ValueError("config has no synth.* section")
     if seed is not None:
@@ -387,7 +327,7 @@ def synth_dataset_from_config(path, out_dir, seed=None):
 def evaluate_cells_from_config(path):
     """The ``eval`` subcommand: exact loss of a cell file against flows."""
     raw = read_config(path)
-    data = data_from_raw(raw)
+    data = section_from_raw(raw, "data")
     if data is None or data.cells is None:
         raise ValueError("eval requires data.edges, data.flows and data.cells")
     _, flows, truth = load_dataset(data)

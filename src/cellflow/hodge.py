@@ -156,14 +156,14 @@ def loss(complex_, flows):
     return float(np.linalg.norm(harmonic_projection(complex_, flows)))
 
 
-def _orthonormal_extension(basis, vectors, scales):
+def _orthonormal_extension(basis, vectors):
     """``basis`` (orthonormal columns) with each column of ``vectors``
     appended, by classical Gram-Schmidt run twice against the basis grown so
     far ("twice is enough") and then normalized.  A column whose remainder
-    is at most 1e-10 times its entry in ``scales`` lies in the span already
-    and is dropped."""
+    is at most 1e-10 times its own norm lies in the span already and is
+    dropped."""
     added = []
-    for v, scale in zip(vectors.T, scales):
+    for v, scale in zip(vectors.T, _column_norms(vectors)):
         grown = np.column_stack([basis, *added]) if added else basis
         for _ in range(2):
             v = v - grown @ (grown.T @ v)
@@ -180,7 +180,7 @@ def curl_basis(complex_):
     the span of the cells before it adds no column."""
     boundaries = complex_.boundary_matrix(dtype=np.float64).toarray()
     empty = np.zeros((boundaries.shape[0], 0))
-    return _orthonormal_extension(empty, boundaries, _column_norms(boundaries))
+    return _orthonormal_extension(empty, boundaries)
 
 
 def _guarded_directions(boundaries, bh, h):
@@ -299,22 +299,21 @@ class RankOneScores:
             picked.append(pick)
         return picked
 
-    def harmonic_after(self, flows_h, picks):
+    def harmonic_after(self, picks):
         """The exact harmonic flows after adding the candidates ``picks``
-        together: h minus its projection onto the span of their b_h.
+        together, as an edges-by-samples matrix: h minus its projection onto
+        the span of their b_h.
 
         Every b_h is orthogonal to the old curl span, so no solve is needed:
         one pick is the rank-one step ``h - b_h c``, several take one small
         dense least-squares fit, which copes with linearly dependent picks.
         """
-        flows_h = np.asarray(flows_h, dtype=np.float64)
-        h = flows_h.reshape(flows_h.shape[0], -1)
         if len(picks) == 1:
             step = np.outer(self.directions[:, picks[0]], self.weights[picks[0]])
         else:
             span = self.directions[:, picks]
-            step = span @ np.linalg.lstsq(span, h, rcond=None)[0]
-        return (h - step).reshape(flows_h.shape)
+            step = span @ np.linalg.lstsq(span, self._flows, rcond=None)[0]
+        return self._flows - step
 
     def basis_after(self, basis, picks):
         """The scoring ``basis`` extended to the curl span after adding the
@@ -323,8 +322,7 @@ class RankOneScores:
         basis matters only among several picks; a zero direction (a pick in
         the curl span, or one dependent on the picks before it) adds no
         column."""
-        directions = self.directions[:, picks]
-        return _orthonormal_extension(basis, directions, _column_norms(directions))
+        return _orthonormal_extension(basis, self.directions[:, picks])
 
 
 def rank_one_scores(basis, flows_h, candidates):

@@ -267,18 +267,17 @@ def evaluate_and_select(basis, flows_h, candidates, count, evaluate):
     computed.  Given a basis, ``after`` and ``basis_after`` are the exact
     harmonic flows and the curl basis of the complex with all the chosen
     cells added, both taken from the picks' scoring directions; without one
-    they are None.  Fewer candidates than ``count`` simply all pass.
+    they are None.  Fewer candidates than ``count`` simply all pass; with a
+    basis, no candidates raise ``ValueError`` (``hodge.rank_one_scores``).
     """
     if basis is None and not evaluate:
         return list(candidates[:count]), None, None
-    if not candidates:
-        return [], flows_h, basis
     if not evaluate:
         candidates = candidates[:count]
     scores = rank_one_scores(basis, flows_h, candidates)
     picks = scores.best(count) if evaluate else list(range(len(candidates)))
-    return ([candidates[i] for i in picks], scores.harmonic_after(flows_h, picks),
-            scores.basis_after(basis, picks))
+    after = scores.harmonic_after(picks).reshape(np.shape(flows_h))
+    return [candidates[i] for i in picks], after, scores.basis_after(basis, picks)
 
 
 def _flow_matrix(graph, flows):

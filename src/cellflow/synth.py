@@ -47,15 +47,10 @@ class SynthConfig:
             raise ValueError(f"synth.seed must be non-negative, got {self.seed}")
 
     def as_mapping(self):
-        return {
-            "synth.nodes": self.node_count,
-            "synth.edge_probability": self.edge_probability,
-            "synth.cells": self.planted_cells,
-            "synth.flows": self.flow_count,
-            "synth.cell_std": self.cell_std,
-            "synth.noise_std": self.noise_std,
-            "synth.seed": self.seed if self.seed is not None else "",
-        }
+        """The ``synth.*`` config keys (``fileio.CONFIG_SECTIONS``) that bind
+        this config, in table order; an unset seed maps to ""."""
+        return {key: "" if getattr(self, field) is None else getattr(self, field)
+                for key, (field, _) in fileio.CONFIG_SECTIONS["synth"].items()}
 
 
 def _largest_component_graph(node_count, drawn_edges):

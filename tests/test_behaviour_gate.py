@@ -93,3 +93,19 @@ def test_compare_counts_the_differing_files_of_each_run(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "dense: 9 files, 5 differ (exact 3, fast 2), largest" in out
     assert "cli: 1 files, 0 differ, largest" in out
+
+
+def test_compare_warns_when_only_the_environment_differs(tmp_path, capsys):
+    digest = load_trace_digest()
+    for side, threads in (("a", 1), ("b", 2)):
+        (tmp_path / side / "small").mkdir(parents=True)
+        (tmp_path / side / "small" / "fast_seed0.losses").write_text("2.5\n")
+        (tmp_path / side / "environment.txt").write_text(
+            f"blas = scipy-openblas\nblas_version = 0.3.27\nblas_threads = {threads}\n")
+    assert digest.compare(tmp_path / "a", tmp_path / "b") == 0
+    out = capsys.readouterr().out
+    assert f"environment {tmp_path / 'a'}: blas = scipy-openblas, blas_version = 0.3.27, " \
+        "blas_threads = 1\n" in out
+    assert "blas_threads = 2\n" in out
+    assert "\nWARN the environments differ" in out
+    assert "small: 1 files, 0 differ" in out

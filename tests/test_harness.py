@@ -1,4 +1,5 @@
-from dataclasses import replace
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from cellflow import cli, harness
 from cellflow.baselines import SphConfig
 from cellflow.fileio import (
+    CONFIG_SECTIONS,
     InvariantViolation,
     ParseError,
     parse_config,
@@ -59,6 +61,15 @@ class TestFileFormats:
         bad.write_text("nodes 3\n0 0\n")
         with pytest.raises(InvariantViolation, match="self-loop"):
             read_edge_list(bad)
+        bad.write_text("\nnodes 3\n0 1 2\n")
+        with pytest.raises(ParseError, match="edges.txt:3"):
+            read_edge_list(bad)
+
+    def test_blank_lines_before_the_edge_list_header_are_skipped(self, tmp_path):
+        path = tmp_path / "edges.txt"
+        path.write_text("\n  \nnodes 3\n0 1\n\n1 2\n")
+        graph = read_edge_list(path)
+        assert graph.node_count == 3 and graph.edges == ((0, 1), (1, 2))
 
     def test_cell_file_edge_out_of_range(self, tmp_path, dataset_dir):
         directory, cpx, _ = dataset_dir
@@ -108,6 +119,13 @@ class TestFileFormats:
         cfg.write_text("no equals sign\n")
         with pytest.raises(ParseError, match="run.cfg:1"):
             parse_config(cfg)
+
+    def test_meta_file_binds_the_generating_config(self, tmp_path, dataset_dir):
+        _, cpx, flows = dataset_dir
+        for cfg in (SynthConfig(8, 0.8, 3, 5, 1.0, 0.2, 11), SynthConfig(8, 0.8, 3, 5, 0.5)):
+            save_dataset(tmp_path / "meta", cpx, flows, cfg)
+            raw = harness.read_config(tmp_path / "meta" / "meta.txt")
+            assert harness.section_from_raw(raw, "synth") == cfg
 
     def test_config_repeated_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -416,16 +434,84 @@ class TestCli:
         assert "sph" in captured.err
         assert not (tmp_path / "bench" / "bench.csv").exists()
 
+    @pytest.mark.parametrize("edits, algos", [
+        ([("algo = mfci\n", "")], ("mfci", "sph", "random")),
+        ([("mfci.total_cells = 3\nmfci.candidates = 2\nmfci.added = 1\n", ""),
+          ("bench.algos = mfci sph random", "bench.algos = random")], ("random",)),
+        ([("bench.algos = mfci sph random", "bench.algos =")], ("mfci", "sph", "random")),
+    ], ids=["no-algo-key", "algo-outside-bench-algos", "empty-bench-algos"])
+    def test_bench_runs_the_bench_algos(self, tmp_path, edits, algos):
+        synth_cfg, run_cfg = self.write_configs(tmp_path)
+        cli.main(["synth", "--config", str(synth_cfg), "--out", str(tmp_path / "data")])
+        text = run_cfg.read_text()
+        for old, new in edits:
+            assert old in text
+            text = text.replace(old, new)
+        run_cfg.write_text(text)
+        assert cli.main(["bench", "--config", str(run_cfg), "--out", str(tmp_path / "bench")]) == 0
+        rows = (tmp_path / "bench" / "bench.csv").read_text().splitlines()[1:]
+        assert list(dict.fromkeys(row.split(",")[0] for row in rows)) == list(algos)
+
 
 def test_unset_config_keys_take_the_dataclass_defaults():
     raw = {"mfci.total_cells": "4", "sph.total_cells": "5", "synth.nodes": "8",
            "synth.edge_probability": "0.5", "synth.cells": "2", "synth.flows": "3",
            "synth.seed": ""}
-    assert harness.mfci_from_raw(raw) == InferenceConfig(total_cells=4)
-    assert harness.sph_from_raw(raw) == SphConfig(total_cells=5)
-    assert harness.synth_from_raw(raw) == SynthConfig(8, 0.5, 2, 3)
+    assert harness.section_from_raw(raw, "mfci") == InferenceConfig(total_cells=4)
+    assert harness.section_from_raw(raw, "sph") == SphConfig(total_cells=5)
+    assert harness.section_from_raw(raw, "synth") == SynthConfig(8, 0.5, 2, 3)
     raw.update({"mfci.rank": "3", "mfci.candidates": "2", "sph.candidates": "4",
                 "synth.noise_std": "0.5"})
-    assert harness.mfci_from_raw(raw) == InferenceConfig(4, 2, factorization_rank=3)
-    assert harness.sph_from_raw(raw) == SphConfig(5, 4)
-    assert harness.synth_from_raw(raw) == SynthConfig(8, 0.5, 2, 3, noise_std=0.5)
+    assert harness.section_from_raw(raw, "mfci") == InferenceConfig(4, 2, factorization_rank=3)
+    assert harness.section_from_raw(raw, "sph") == SphConfig(5, 4)
+    assert harness.section_from_raw(raw, "synth") == SynthConfig(8, 0.5, 2, 3, noise_std=0.5)
+
+
+def test_config_keys_are_the_documented_ones():
+    assert harness.CONFIG_KEYS == {
+        "algo", "run.seeds", "run.out", "run.timing", "bench.algos",
+        "synth.nodes", "synth.edge_probability", "synth.cells", "synth.flows",
+        "synth.cell_std", "synth.noise_std", "synth.seed",
+        "data.edges", "data.flows", "data.cells",
+        "mfci.total_cells", "mfci.candidates", "mfci.added", "mfci.rank", "mfci.method",
+        "mfci.discretization", "mfci.projection",
+        "sph.total_cells", "sph.candidates", "random.total_cells",
+    }
+
+
+# A value for every key of CONFIG_SECTIONS, none its field's default, and
+# the config object that each section's values bind, built by position.
+SECTION_VALUES = {
+    "synth.nodes": "9", "synth.edge_probability": "0.25", "synth.cells": "2",
+    "synth.flows": "3", "synth.cell_std": "0.5", "synth.noise_std": "0.125",
+    "synth.seed": "13",
+    "data.edges": "e.txt", "data.flows": "f.csv", "data.cells": "c.txt",
+    "mfci.total_cells": "6", "mfci.candidates": "4", "mfci.added": "2", "mfci.rank": "5",
+    "mfci.method": "ica", "mfci.discretization": "random_walk",
+    "mfci.projection": "approximate",
+    "sph.total_cells": "5", "sph.candidates": "3",
+}
+SECTION_OBJECTS = {
+    "synth": SynthConfig(9, 0.25, 2, 3, 0.5, 0.125, 13),
+    "data": DatasetPaths(Path("e.txt"), Path("f.csv"), Path("c.txt")),
+    "mfci": InferenceConfig(6, 4, 2, 5, "ica", "random_walk", "approximate"),
+    "sph": SphConfig(5, 3),
+}
+
+
+@pytest.mark.parametrize("section, key", [(section, key) for section, keys in
+                                          CONFIG_SECTIONS.items() for key in keys])
+def test_each_config_key_binds_its_field(section, key):
+    field, cast = CONFIG_SECTIONS[section][key]
+    bound = harness.section_from_raw({k: SECTION_VALUES[k] for k in CONFIG_SECTIONS[section]},
+                                     section)
+    assert bound == SECTION_OBJECTS[section]
+    defaults = {f.name: f.default for f in fields(harness.CONFIG_CLASSES[section])}
+    assert getattr(bound, field) == cast(SECTION_VALUES[key]) != defaults[field]
+
+
+def test_empty_required_config_key_is_missing():
+    raw = {"mfci.total_cells": "", "sph.candidates": "3"}
+    with pytest.raises(ValueError, match="missing config key 'mfci.total_cells'"):
+        harness.section_from_raw(raw, "mfci")
+    assert harness.section_from_raw(raw, "sph") is None

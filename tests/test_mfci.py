@@ -336,6 +336,12 @@ class TestEvaluateAndSelect:
                                            cfg.evaluate_candidates)
         assert chosen == [triangle]
 
+    @pytest.mark.parametrize("evaluate", [True, False])
+    def test_no_candidates_with_a_basis_rejected(self, evaluate):
+        g = t3()
+        with pytest.raises(ValueError, match="candidates must be nonempty"):
+            evaluate_and_select(curl_basis(CellComplex(g)), np.ones((3, 2)), [], 1, evaluate)
+
 
 class TestInferMfci:
     def test_t3_single_cell(self):

@@ -37,7 +37,11 @@ Groups:
   dataset that ``harness.synth_dataset_from_config`` wrote from the same
   config (``eval.loss``, a ``repr``).
 
-A full digest takes about half a minute on two cores.
+A full digest takes about half a minute on two cores.  It also writes
+``OUT_DIR/environment.txt``: numpy's BLAS name, version and thread count,
+read as ``perfbench/bench.py``'s ``environment`` reads them.  The file is
+no part of the comparison: the traces' last bits may move with the BLAS
+build and thread count, and the file records which ones a digest used.
 
 Compare two digests with::
 
@@ -50,6 +54,8 @@ together), and the largest relative gap between matching losses, and
 lists every failing file; a differing
 ``.csv`` is listed with the header columns it differs in (``FAIL
 dense/sph_seed0.csv: differs in cumulative_solver_iterations``).  It
+It first prints each side's environment lines and, when they differ, a
+``WARN`` line; that alone does not change the exit status.  It
 exits 1 if a file exists on one side only, if any file but a ``.losses``
 file (the ``.cells``, ``.notes`` and ``.csv`` files and the ``cli`` group)
 differs by a byte, or if any loss differs by more than ``LOSS_TOLERANCE``
@@ -87,6 +93,7 @@ from cellflow.harness import write_trace  # noqa: E402
 from cellflow.mfci import InferenceConfig, infer_mfci  # noqa: E402
 from cellflow.synth import SynthConfig, random_complex, sample_flows  # noqa: E402
 
+ENVIRONMENT = "environment.txt"
 CONFIGS = ("fast", "exact", "best1of8", "sph", "random")
 DENSE = SynthConfig(40, 0.9, 50, 64, 1.0, 0.3)
 SMALL = SynthConfig(20, 0.5, 16, 16, 1.0, 0.3)
@@ -218,6 +225,18 @@ def cli(out):
     (directory / "eval.loss").write_text(f"{loss!r}\n")
 
 
+def write_environment(out):
+    """``out/environment.txt``: the BLAS entries of the benchmark's
+    environment record, one ``key = value`` line each."""
+    sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from bench import environment
+
+    env = environment()
+    out.mkdir(parents=True, exist_ok=True)
+    (out / ENVIRONMENT).write_text(
+        "".join(f"{key} = {env[key]}\n" for key in ("blas", "blas_version", "blas_threads")))
+
+
 def gate_subset(out):
     """The runs the test suite checks against the committed manifest."""
     tier(out, "dense", DENSE, range(1))
@@ -227,9 +246,11 @@ def gate_subset(out):
 
 def manifest(directory):
     """``{relative name: entry}`` for every file of a digest: the list of
-    loss reprs for a ``.losses`` file, the sha256 of its bytes otherwise."""
+    loss reprs for a ``.losses`` file, the sha256 of its bytes otherwise.
+    ``environment.txt`` is left out."""
     entries = {}
-    for path in sorted(p for p in directory.rglob("*") if p.is_file()):
+    for path in sorted(p for p in directory.rglob("*")
+                       if p.is_file() and p != directory / ENVIRONMENT):
         name = path.relative_to(directory).as_posix()
         if path.suffix == ".losses":
             entries[name] = path.read_text().split()
@@ -307,6 +328,13 @@ def compare(a, b):
     def detail(name):
         return _csv_difference(a / name, b / name) if name.endswith(".csv") else None
 
+    environments = []
+    for side in (a, b):
+        path = side / ENVIRONMENT
+        environments.append(path.read_text().splitlines() if path.exists() else ["none"])
+        print(f"environment {side}: {', '.join(environments[-1])}")
+    if environments[0] != environments[1]:
+        print("WARN the environments differ: BLAS builds and thread counts may move last bits")
     groups, failures = compare_manifests(manifest(a), manifest(b), (a, b), detail)
     for name, group in groups.items():
         runs = ", ".join(f"{run} {count}" for run, count in sorted(group["runs"].items()))
@@ -335,6 +363,7 @@ def main(argv):
         sys.exit("usage: trace_digest.py OUT_DIR | trace_digest.py --compare A B"
                  " | trace_digest.py --manifest FILE")
     out = Path(argv[0])
+    write_environment(out)
     tier(out, "dense", DENSE, range(5))
     tier(out, "small", SMALL, range(8))
     criterion3(out)
