@@ -58,10 +58,7 @@ def main(argv=None):
             value = harness.evaluate_cells_from_config(args.config)
             print(format(value, ".9g"))
         elif args.command == "bench":
-            raw = harness.read_config(args.config)
-            algos = tuple(raw.get("bench.algos", "").split()) or harness.ALGORITHMS
-            cfg = harness.experiment_from_config(args.config, args.out, args.seed, algos[0])
-            path = harness.run_bench(cfg, algos)
+            path = harness.run_bench(*harness.bench_from_config(args.config, args.out, args.seed))
             print(f"bench table written to {path}")
     except (ParseError, InvariantViolation, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -178,7 +178,7 @@ def write_meta(path, mapping):
 
 # Config section -> {key: (field of the section's config object, cast)}, in
 # the order ``SynthConfig.as_mapping`` writes the synth keys to meta.txt.
-# A section's first key decides whether it is bound; fields without a
+# A section is bound when any of its keys is present; fields without a
 # default are required.
 CONFIG_SECTIONS = {
     "synth": {"synth.nodes": ("node_count", int),

@@ -32,7 +32,10 @@ class DegenerateReference(Exception):
     strictly worse than the reference algorithm."""
 
 
-ALGORITHMS = ("mfci", "sph", "random")
+# Each algorithm's inference function and the ``ExperimentConfig`` field
+# that holds its config (the function's third argument).
+ALGORITHMS = {"mfci": (infer_mfci, "mfci"), "sph": (infer_sph, "sph"),
+              "random": (infer_random, "random_cells")}
 
 
 @dataclass(frozen=True)
@@ -58,7 +61,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.algo not in ALGORITHMS:
-            raise ValueError(f"algo must be one of {ALGORITHMS}, got {self.algo!r}")
+            raise ValueError(f"algo must be one of {tuple(ALGORITHMS)}, got {self.algo!r}")
         if (self.synth is None) == (self.data is None):
             raise ValueError("exactly one of synth config and data paths is required")
         if not self.seeds:
@@ -67,8 +70,7 @@ class ExperimentConfig:
             raise ValueError("repetition seeds must be distinct")
         if min(self.seeds) < 0:
             raise ValueError(f"run.seeds must be non-negative, got {min(self.seeds)}")
-        needed = {"mfci": self.mfci, "sph": self.sph, "random": self.random_cells}[self.algo]
-        if needed is None:
+        if getattr(self, ALGORITHMS[self.algo][1]) is None:
             raise ValueError(f"missing configuration for algorithm {self.algo!r}")
         if self.random_cells is not None and self.random_cells < 1:
             raise ValueError("random.total_cells must be >= 1")
@@ -174,14 +176,9 @@ def _materialize(cfg, seed):
 def run_one(cfg, seed):
     """Run a single repetition and return its InferenceTrace."""
     graph, flows = _materialize(cfg, seed)
-    rng = np.random.default_rng([seed, 1])
-    timer = make_timer(cfg.timing)
-    if cfg.algo == "mfci":
-        _, trace = infer_mfci(graph, flows, cfg.mfci, rng, timer)
-    elif cfg.algo == "sph":
-        _, trace = infer_sph(graph, flows, cfg.sph, rng, timer)
-    else:
-        _, trace = infer_random(graph, flows, cfg.random_cells, rng, timer)
+    infer, field = ALGORITHMS[cfg.algo]
+    _, trace = infer(graph, flows, getattr(cfg, field), np.random.default_rng([seed, 1]),
+                     make_timer(cfg.timing))
     return trace
 
 
@@ -235,13 +232,16 @@ CONFIG_KEYS = frozenset({"algo", "run.seeds", "run.out", "run.timing", "bench.al
                          "random.total_cells"}).union(*fileio.CONFIG_SECTIONS.values())
 
 
-def read_config(path):
+def read_config(path, flags=None):
     """Parse a flat config file, rejecting any key outside ``CONFIG_KEYS``
-    (so a typo fails instead of silently leaving a default in place)."""
+    (so a typo fails instead of silently leaving a default in place).
+    ``flags`` maps keys to the values of the CLI flags that set them; each
+    value but None replaces, as text, the file's value of its key."""
     raw = fileio.parse_config(path)
     unknown = sorted(set(raw) - CONFIG_KEYS)
     if unknown:
         raise ValueError(f"{path}: unknown config key {', '.join(map(repr, unknown))}")
+    raw.update((key, str(value)) for key, value in (flags or {}).items() if value is not None)
     return raw
 
 
@@ -269,21 +269,14 @@ def _as_bool(text):
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _as_seeds(text):
-    seeds = tuple(int(tok) for tok in text.split())
-    if not seeds:
-        raise ValueError("empty seed list")
-    return seeds
-
-
 def section_from_raw(raw, name):
     """The config object of section ``name`` of ``fileio.CONFIG_SECTIONS``
-    (``CONFIG_CLASSES[name]``), or None when ``raw`` leaves the section's
-    first key out.  Each field takes its key's cast value, or the class
+    (``CONFIG_CLASSES[name]``), or None when ``raw`` holds none of the
+    section's keys.  Each field takes its key's cast value, or the class
     default when the key is unset or empty; a field without a default
     raises ``ValueError`` naming its missing key."""
     keys = fileio.CONFIG_SECTIONS[name]
-    if next(iter(keys)) not in raw:
+    if raw.keys().isdisjoint(keys):
         return None
     cls = CONFIG_CLASSES[name]
     defaults = {field.name: field.default for field in fields(cls)}
@@ -291,33 +284,41 @@ def section_from_raw(raw, name):
                   for key, (field, cast) in keys.items()})
 
 
-def experiment_from_config(path, out_dir=None, seed=None, algo=None):
-    """Build an ExperimentConfig from a flat config file; the CLI flags
-    --out/--seed/--algo override the corresponding keys."""
-    raw = read_config(path)
-    chosen_algo = algo or raw.get("algo")
-    if chosen_algo is None:
-        raise ValueError("missing config key 'algo' (or --algo flag)")
-    seeds = (seed,) if seed is not None else _value(raw, "run.seeds", _as_seeds, (0,))
-    out = Path(out_dir) if out_dir is not None else _value(raw, "run.out", Path, Path("."))
+def _experiment(raw, algo):
     return ExperimentConfig(
-        algo=chosen_algo,
-        seeds=tuple(seeds),
-        out_dir=out,
+        algo=algo,
+        seeds=_value(raw, "run.seeds", lambda text: tuple(map(int, text.split())), (0,)),
+        out_dir=_value(raw, "run.out", Path, Path(".")),
         **{name: section_from_raw(raw, name) for name in CONFIG_CLASSES},
         random_cells=_value(raw, "random.total_cells", int, None),
         timing=_value(raw, "run.timing", _as_bool, True),
     )
 
 
+def experiment_from_config(path, out_dir=None, seed=None, algo=None):
+    """Build an ExperimentConfig from a flat config file; the CLI flags
+    --out, --seed and --algo set the ``run.out``, ``run.seeds`` and
+    ``algo`` keys."""
+    raw = read_config(path, {"run.out": out_dir, "run.seeds": seed, "algo": algo})
+    return _experiment(raw, _value(raw, "algo", str, MISSING))
+
+
+def bench_from_config(path, out_dir=None, seed=None):
+    """The ``bench`` subcommand's ``(experiment, algorithms)``: the
+    algorithms of ``bench.algos`` (every algorithm when unset), and the
+    experiment bound to the first of them, so no ``algo`` key is needed.
+    The CLI flags --out and --seed set ``run.out`` and ``run.seeds``."""
+    raw = read_config(path, {"run.out": out_dir, "run.seeds": seed})
+    algos = _value(raw, "bench.algos", str.split, tuple(ALGORITHMS))
+    return _experiment(raw, algos[0]), algos
+
+
 def synth_dataset_from_config(path, out_dir, seed=None):
-    """The ``synth`` subcommand: generate one dataset and write it out."""
-    raw = read_config(path)
-    synth = section_from_raw(raw, "synth")
+    """The ``synth`` subcommand: generate one dataset and write it out;
+    the CLI flag --seed sets the ``synth.seed`` key."""
+    synth = section_from_raw(read_config(path, {"synth.seed": seed}), "synth")
     if synth is None:
         raise ValueError("config has no synth.* section")
-    if seed is not None:
-        synth = replace(synth, seed=seed)
     rng = np.random.default_rng(synth.seed)
     complex_ = random_complex(synth, rng)
     flows = sample_flows(complex_, synth.flow_count, synth.cell_std, synth.noise_std, rng)

@@ -404,8 +404,6 @@ def infer_mfci(graph, flows, cfg, rng=None, timer=None):
             chosen, exact, basis = evaluate_and_select(basis, exact, candidates, wanted,
                                                        cfg.evaluate_candidates)
             complex_, added, _ = add_cells(complex_, chosen)
-            if not added:
-                return
             if len(added) < wanted:
                 notes.append("shortfall")
             if cfg.projection == "exact":

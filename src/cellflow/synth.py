@@ -18,7 +18,7 @@ from .hodge import loss, remove_gradient
 from . import fileio
 
 
-class GenerationFailed(Exception):
+class GenerationFailed(ValueError):
     """Could not realize the requested instance within the retry budget."""
 
 

@@ -419,6 +419,46 @@ class TestCli:
         assert "synth.seed must be non-negative" in capsys.readouterr().err
         assert not (tmp_path / "data").exists()
 
+    def test_synth_seed_flag_wins_over_the_key(self, tmp_path):
+        synth_cfg, _ = self.write_configs(tmp_path)
+        synth_cfg.write_text(synth_cfg.read_text().replace("synth.seed = 11", "synth.seed = x"))
+        assert cli.main(["synth", "--config", str(synth_cfg),
+                         "--out", str(tmp_path / "data"), "--seed", "3"]) == 0
+        meta = parse_config(tmp_path / "data" / "meta.txt")
+        assert meta["synth.seed"] == "3"
+
+    @pytest.mark.parametrize("edits, command, error", [
+        ([("algo = mfci", "algo = sph"), ("sph.total_cells = 3\n", "")], "infer",
+         "error: missing config key 'sph.total_cells'"),
+        ([("algo = mfci", "algo =")], "infer", "error: missing config key 'algo'"),
+        ([("mfci.total_cells = 3\n", "")], "bench",
+         "error: missing config key 'mfci.total_cells'"),
+    ], ids=["partial-sph", "empty-algo", "partial-mfci-bench"])
+    def test_config_error_is_one_line(self, tmp_path, capsys, edits, command, error):
+        synth_cfg, run_cfg = self.write_configs(tmp_path)
+        cli.main(["synth", "--config", str(synth_cfg), "--out", str(tmp_path / "data")])
+        text = run_cfg.read_text()
+        for old, new in edits:
+            assert old in text
+            text = text.replace(old, new)
+        run_cfg.write_text(text)
+        capsys.readouterr()
+        assert cli.main([command, "--config", str(run_cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [error]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["synth", "infer", "bench"])
+    def test_undrawable_dataset_is_an_error(self, tmp_path, capsys, command):
+        # 5 nodes span at most 6 independent cycles, short of 20 cells
+        config = tmp_path / "undrawable.cfg"
+        config.write_text("synth.nodes = 5\nsynth.edge_probability = 0.5\nsynth.cells = 20\n"
+                          "synth.flows = 4\nalgo = random\nrandom.total_cells = 2\n"
+                          "bench.algos = random\n")
+        assert cli.main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: no Erdos-Renyi draw")
+
     @pytest.mark.parametrize("edit", [
         ("bench.algos = mfci sph random", "bench.algos = mfci spH random"),
         ("sph.total_cells = 3\n", ""),
@@ -514,4 +554,22 @@ def test_empty_required_config_key_is_missing():
     raw = {"mfci.total_cells": "", "sph.candidates": "3"}
     with pytest.raises(ValueError, match="missing config key 'mfci.total_cells'"):
         harness.section_from_raw(raw, "mfci")
-    assert harness.section_from_raw(raw, "sph") is None
+    with pytest.raises(ValueError, match="missing config key 'sph.total_cells'"):
+        harness.section_from_raw(raw, "sph")
+
+
+@pytest.mark.parametrize("section", list(CONFIG_SECTIONS))
+def test_partial_section_names_its_missing_key(section):
+    # bound by its last key alone, the section misses its first, required key
+    first, *_, last = CONFIG_SECTIONS[section]
+    with pytest.raises(ValueError, match=f"missing config key '{first}'"):
+        harness.section_from_raw({last: SECTION_VALUES[last]}, section)
+
+
+def test_flags_replace_their_config_keys(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("algo = mfci\nrun.seeds = 1 2\nrun.out = out\nsynth.seed = 11\n")
+    raw = harness.read_config(path, {"algo": "sph", "run.seeds": 9, "run.out": tmp_path / "o",
+                                     "synth.seed": None})
+    assert raw == {"algo": "sph", "run.seeds": "9", "run.out": str(tmp_path / "o"),
+                   "synth.seed": "11"}
