@@ -98,7 +98,8 @@ def infer_random(graph, flows, total_cells, rng, timer=None):
     Duplicate draws are resampled up to 100 times; once a cell cannot be
     drawn fresh the run stops short.  The exact loss recorded per iteration
     is reporting only: once the clock has stopped, ``_greedy_loop``
-    projects the gradient-free flows against each record's complex, one
+    projects the gradient-free flows against each record's complex in the
+    coordinates of one QR of the final complex's boundary matrix, one
     ``hodge.least_squares`` solve per record that is neither timed nor in
     the trace's solver count.
     """

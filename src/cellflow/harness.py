@@ -203,8 +203,13 @@ def run_experiment(cfg, echo=print):
 def run_bench(cfg, algos, echo=print):
     """Sweep algorithms x seeds and write one combined CSV with ``algo`` and
     ``seed`` columns prepended to the trace columns.  Every algorithm's
-    config is checked before the first seed runs, so an unknown algorithm
-    or a missing ``*.total_cells`` fails with nothing run or written."""
+    config is checked before the first seed runs, so an unknown or
+    repeated algorithm or a missing ``*.total_cells`` fails with nothing
+    run or written."""
+    repeated = sorted({algo for algo in algos if algos.count(algo) > 1})
+    if repeated:
+        raise ValueError(f"bench algorithms must be distinct, got {', '.join(repeated)} "
+                         "more than once")
     algo_cfgs = [replace(cfg, algo=algo) for algo in algos]
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -13,14 +13,17 @@ m x s pass) only where it can decide a pick: ``RankOneScores.best``
 screens by a closed form that needs no pass, and a caller that adds given
 candidates computes no loss.  Inside a loop, then, only gradient removal
 solves; the loops that carry no exact flows report each record's ``loss``
-by a full projection after the loop's clock has stopped.
+after the loop's clock has stopped, by one solve in the coordinates of a
+QR factorization of the final complex's boundary matrix.
 
 ``least_squares`` is the one solve: a direct minimum-norm solve through the
 eigendecomposition of the small Gram matrix A^T A (the n x n graph
 Laplacian for gradient removal, k x k for the curl span of k cells), with
-no iteration budget and no settings.  It takes A as CSC, the format the
-boundary matrix is built in, so A^T is CSR with no conversion, and it
-returns the residual ``Y - A x`` that its convergence check forms anyway:
+no iteration budget and no settings.  It takes a sparse A as CSC, the
+format the boundary matrix is built in, so A^T is CSR with no conversion;
+a dense A (the reporting solves' columns of a triangular factor R) it
+uses as given, with dense products.  It returns the residual ``Y - A x``
+that its convergence check forms anyway:
 a projection's remainder is that residual, with no second product, and
 its ``converged`` flag tells a caller whether the residual check passed.
 The projections below validate nothing themselves: ``least_squares``
@@ -95,10 +98,12 @@ def least_squares(A, Y):
 
     Parameters
     ----------
-    A : sparse or dense (p, q) matrix, used as float64 CSC
-        A^T is then CSR as it stands, and the Gram matrix is A^T times
-        dense A, exact for the small-integer incidence and boundary
-        matrices.
+    A : sparse matrix or dense 2-D array, (p, q)
+        A sparse A is used as float64 CSC: A^T is then CSR as it stands,
+        and the Gram matrix is A^T times dense A, exact for the
+        small-integer incidence and boundary matrices.  A dense A is used
+        as a float64 array, with dense products throughout; one that is
+        not 2-D raises ``ValueError``.
     Y : (p,) or (p, s) array
 
     Returns
@@ -107,21 +112,27 @@ def least_squares(A, Y):
         solution with the same trailing shape as Y, 0 iterations, the
         convergence flag, and the residual ``Y - A x`` with Y's shape.
     """
-    A = sparse.csc_matrix(A, dtype=np.float64)
+    if sparse.issparse(A):
+        A = sparse.csc_matrix(A, dtype=np.float64)
+        dense, entries = A.toarray(), A.data
+    else:
+        A = dense = entries = np.asarray(A, dtype=np.float64)
+        if A.ndim != 2:
+            raise ValueError(f"a dense A must be 2-D, not {A.ndim}-D")
     shape = np.shape(Y)
     if not shape:
         raise ValueError("Y must have one row per row of A, not be a scalar")
     if A.shape[0] != shape[0]:
         raise ValueError(f"A has {A.shape[0]} rows but Y has {shape[0]}")
     Y = np.asarray(Y, dtype=np.float64).reshape(shape[0], -1)
-    a_norm = float(np.sqrt((A.data**2).sum()))
+    a_norm = float(np.sqrt((entries**2).sum()))
     y_norms = _column_norms(Y)
     if not (np.isfinite(a_norm) and np.isfinite(y_norms).all()):
         raise ValueError("A and Y must be finite: one holds NaN or inf, "
                          "or its squared norm overflows")
     At = A.T
     AtY = At @ Y
-    X, _ = _gram_solve(At @ A.toarray(), AtY)
+    X, _ = _gram_solve(At @ dense, AtY)
     # In place: a second m x s temporary costs more than the subtraction.
     residual = A @ X
     np.subtract(Y, residual, out=residual)

@@ -317,12 +317,18 @@ def _greedy_loop(graph, flows, total_cells, timer, steps):
     by the added cells' scoring directions) or, where it yields None
     (MFCI-approximate without evaluation, random), from a reporting
     recompute.  The clock stops with the last step, and the recompute runs
-    after it, so it is neither timed nor in the solver count: each such
-    record takes the norm of the ``hodge.least_squares`` residual of the
-    gradient-free flows against its own complex's boundary matrix, one
-    solve over all the flow columns.  A record whose reporting solve
-    failed its residual check gets a "report-nonconverged" note after the
-    step's own notes.  Returns ``(complex, trace)``.
+    after it, so it is neither timed nor in the solver count.  Cells are
+    only appended, so a record's boundary matrix is the first k_t columns
+    of the final one, B = QR (``np.linalg.qr``, once).  With C = Q^T h for
+    the gradient-free flows h, a record's loss is
+    sqrt(||h - Q C||^2 + ||r||^2), where r is the ``hodge.least_squares``
+    residual of C against R's first k_t columns: one solve per record over
+    all the flow columns, in coordinates of size min(m, k).  The split is
+    exact for any x, since range(Q) holds range(B), and R_t^T R_t is the
+    record's Gram matrix in exact arithmetic, so the solve's rank rule is
+    unchanged.  A record whose reporting solve failed its residual check
+    gets a "report-nonconverged" note after the step's own notes.  Returns
+    ``(complex, trace)``.
     """
     flows = _flow_matrix(graph, flows)
     if graph.forest_size == graph.edge_count:
@@ -345,11 +351,15 @@ def _greedy_loop(graph, flows, total_cells, timer, steps):
         complex_, added, value, notes = step
         timed.append((complex_, added, value, tuple(notes), timer() - t0))
 
+    if any(value is None for _, _, value, _, _ in timed):
+        Q, R = np.linalg.qr(complex_.boundary_matrix(dtype=np.float64).toarray())
+        coords = Q.T @ flows0
+        outside = np.linalg.norm(flows0 - Q @ coords) ** 2
     records = []
     for iteration, (after, added, value, notes, seconds) in enumerate(timed):
         if value is None:
-            report = hodge.least_squares(after.boundary_matrix(dtype=np.float64), flows0)
-            value = float(np.linalg.norm(report.residual))
+            report = hodge.least_squares(R[:, :after.cell_count], coords)
+            value = float(np.sqrt(outside + np.linalg.norm(report.residual) ** 2))
             if not report.converged:
                 notes += ("report-nonconverged",)
         records.append(IterationRecord(iteration, added, after.cell_count, value, seconds,

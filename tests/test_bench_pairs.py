@@ -143,3 +143,27 @@ def test_sph_per_fast_ratio_per_side(tmp_path):
     report = json.loads(out.read_text())
     assert report["workloads"]["small"]["sph_s_per_fast_s"] == {"parent": 3.0, "change": 1.75}
     assert "small: median sph_s / fast_s: parent 3, change 1.75" in done.stdout.splitlines()
+
+
+@pytest.mark.parametrize("parent, change, unresolved", [
+    # quartile spread 0.0005 against a median of 0.0300: resolved
+    ([0.030, 0.031, 0.029, 0.030], [0.032, 0.033, 0.031, 0.032], False),
+    # quartile spread 0.0195 against a median of 0.0305, beyond the 25%
+    # bound, and the change runs overlap the parent's
+    ([0.020, 0.040, 0.021, 0.041], [0.019, 0.039, 0.020, 0.040], True),
+    # the same spread, but every change run is below every parent run
+    ([0.020, 0.040, 0.021, 0.041], [0.010, 0.012, 0.011, 0.010], False),
+])
+def test_spread_beyond_bound_is_unresolved(tmp_path, parent, change, unresolved):
+    out = tmp_path / "report.json"
+    done = run_tool(tmp_path, stub_checkout(tmp_path, "parent", parent),
+                    stub_checkout(tmp_path, "change", change), out, ())
+    # no metric regressed, and an unresolved one does not fail the run
+    assert done.returncode == 0, done.stderr
+    report = json.loads(out.read_text())
+    assert report["bounds"]["small.fast_s"]["unresolved"] is unresolved
+    assert report["bounds"]["small.fast_loss"]["unresolved"] is False
+    assert report["unresolved"] == (["small.fast_s"] if unresolved else [])
+    summary = done.stdout.splitlines()[-1]
+    assert (f"unresolved (parent spread beyond bound): {'fast_s' if unresolved else 'none'};"
+            in summary)

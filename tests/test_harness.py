@@ -474,6 +474,19 @@ class TestCli:
         assert "sph" in captured.err
         assert not (tmp_path / "bench" / "bench.csv").exists()
 
+    def test_bench_rejects_a_repeated_algo(self, tmp_path, capsys):
+        synth_cfg, run_cfg = self.write_configs(tmp_path)
+        cli.main(["synth", "--config", str(synth_cfg), "--out", str(tmp_path / "data")])
+        run_cfg.write_text(run_cfg.read_text().replace("bench.algos = mfci sph random",
+                                                       "bench.algos = random sph random"))
+        capsys.readouterr()
+        assert cli.main(["bench", "--config", str(run_cfg), "--out", str(tmp_path / "bench")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: bench algorithms must be distinct, got random more than once"]
+        assert "bench: algo=" not in captured.out
+        assert not (tmp_path / "bench").exists()
+
     @pytest.mark.parametrize("edits, algos", [
         ([("algo = mfci\n", "")], ("mfci", "sph", "random")),
         ([("mfci.total_cells = 3\nmfci.candidates = 2\nmfci.added = 1\n", ""),

@@ -129,14 +129,27 @@ class TestLeastSquares:
         assert res.solution == pytest.approx([1.0, 0.0], abs=1e-15)
 
     def test_dense_matrix_matches_sparse(self):
-        # dense, CSR and CSC forms of one A give the same bits
+        # CSR and CSC forms of one A give the same bits; the dense form
+        # runs dense products, so it agrees to rounding
         rng = np.random.default_rng(8)
         A = sparse.random(20, 8, density=0.4, random_state=8, format="csr")
         for Y in (rng.standard_normal((20, 3)), rng.standard_normal(20)):
-            results = [least_squares(form, Y) for form in (A.toarray(), A, A.tocsc())]
-            for res in results[1:]:
-                assert res.solution.tobytes() == results[0].solution.tobytes()
-                assert res.residual.tobytes() == results[0].residual.tobytes()
+            csr, csc = least_squares(A, Y), least_squares(A.tocsc(), Y)
+            assert csc.solution.tobytes() == csr.solution.tobytes()
+            assert csc.residual.tobytes() == csr.residual.tobytes()
+            dense = least_squares(A.toarray(), Y)
+            assert dense.converged and csr.converged
+            for field in ("solution", "residual"):
+                expected = getattr(csr, field)
+                assert (np.linalg.norm(getattr(dense, field) - expected)
+                        <= 1e-13 * np.linalg.norm(expected))
+
+    @pytest.mark.parametrize("A", [np.ones(3), np.ones((3, 2, 1)), np.float64(1.0)],
+                             ids=["1-d", "3-d", "0-d"])
+    def test_dense_matrix_not_2d_rejected_before_the_solve(self, A, monkeypatch):
+        monkeypatch.setattr(hodge, "_gram_solve", unreached_solve)
+        with pytest.raises(ValueError, match="dense A must be 2-D"):
+            least_squares(A, np.ones(3))
 
     @pytest.mark.parametrize("case", sorted(LSTSQ_CASES))
     def test_residual_is_y_minus_a_x(self, case):
@@ -149,6 +162,7 @@ class TestLeastSquares:
     @pytest.mark.parametrize("where", ["A dense", "A sparse", "1-d Y", "2-d Y"])
     def test_non_finite_input_rejected_before_the_solve(self, bad, where, monkeypatch):
         monkeypatch.setattr(hodge, "_gram_solve", unreached_solve)
+        monkeypatch.setattr(np.linalg, "eigh", unreached_solve)
         A = np.eye(3)
         Y = np.array([[1.0, 2.0], [0.5, 0.0], [0.5, 1.0]])
         if where.startswith("A"):
@@ -164,12 +178,13 @@ class TestLeastSquares:
                                    np.array([[1.0, -0.0], [0.0, -0.0], [5e-324, -1e70]])],
                              ids=["1-d Y", "2-d Y"])
     def test_no_columns_returns_y_bit_for_bit(self, Y):
-        res = least_squares(sparse.csc_matrix((Y.shape[0], 0)), Y)
-        assert res.converged
-        assert res.solution.shape == (0,) + Y.shape[1:]
-        assert res.residual.shape == Y.shape
-        assert res.residual.tobytes() == Y.tobytes()
-        assert not np.shares_memory(res.residual, Y)
+        for form in (sparse.csc_matrix, np.zeros):
+            res = least_squares(form((Y.shape[0], 0)), Y)
+            assert res.converged
+            assert res.solution.shape == (0,) + Y.shape[1:]
+            assert res.residual.shape == Y.shape
+            assert res.residual.tobytes() == Y.tobytes()
+            assert not np.shares_memory(res.residual, Y)
 
     def test_finite_zero_input_is_accepted(self):
         # the norms that test finiteness are 0 here, which is finite

@@ -586,16 +586,14 @@ def prefix_losses(graph, flows, records):
                      for record in records])
 
 
-def assert_losses_match_prefix_reprojection(graph, flows, trace, bitwise=False):
-    # the loops that report by this very projection (fast, random) match it
-    # bit for bit; the ones that carry their exact flows, relative to each
-    # loss, and to the initial loss where a loss is ~0
+def assert_losses_match_prefix_reprojection(graph, flows, trace, reported=False):
+    # the loops that report in the coordinates of one QR of the final
+    # complex (fast, random) match this projection to rounding; the ones
+    # that carry their exact flows, to 1e-10; both relative to each loss,
+    # and to the initial loss where a loss is ~0
     expected = prefix_losses(graph, flows, trace.records)
-    if bitwise:
-        np.testing.assert_array_equal(trace.losses(), expected)
-    else:
-        np.testing.assert_allclose(trace.losses(), expected, rtol=1e-10,
-                                   atol=1e-12 * expected[0])
+    np.testing.assert_allclose(trace.losses(), expected, rtol=1e-12 if reported else 1e-10,
+                               atol=1e-12 * expected[0])
 
 
 def all_added(projection):
@@ -633,8 +631,9 @@ class TestReportingRecompute:
         _, trace = REPORTED[name](graph, flows)
         records = trace.records
         # gradient removal (the one counted solve), then one reporting solve
-        # per iteration, of every flow column against the record's own
-        # complex (one column of A per cell)
+        # per iteration, of every flow column's coordinates in the final
+        # complex's QR against the record's leading columns of R (one
+        # column of A per cell)
         assert len(shapes) == len(records) > 2
         assert all(r.cumulative_solver_calls == 1 for r in records)
         assert shapes[0] == (graph.node_count, flows.shape[1])
@@ -644,7 +643,7 @@ class TestReportingRecompute:
     def test_losses_match_prefix_reprojection(self, name):
         graph, flows = self.instance()
         _, trace = {**REPORTED, "exact": EXACT}[name](graph, flows)
-        assert_losses_match_prefix_reprojection(graph, flows, trace, bitwise=name in REPORTED)
+        assert_losses_match_prefix_reprojection(graph, flows, trace, reported=name in REPORTED)
 
     @pytest.mark.parametrize("name", sorted(REPORTED))
     def test_reporting_runs_after_the_clock_stops(self, name, monkeypatch):
@@ -676,7 +675,7 @@ class TestReportingRecompute:
         flows = np.random.default_rng(4).standard_normal((6, 3))
         complex_, trace = infer_random(k4(), flows, 7, np.random.default_rng(2))
         assert complex_.cell_count == 7
-        assert_losses_match_prefix_reprojection(k4(), flows, trace, bitwise=True)
+        assert_losses_match_prefix_reprojection(k4(), flows, trace, reported=True)
         assert trace.final.loss <= 1e-12 * trace.records[0].loss
 
     @pytest.mark.parametrize("name", sorted(REPORTED))
@@ -776,4 +775,4 @@ def test_random_trace_is_the_prefix_reprojection(case):
     _, trace = infer_random(graph, flows, cells, np.random.default_rng(seed))
     losses = trace.losses()
     assert (np.diff(losses) <= 1e-10 * losses[0]).all()
-    assert_losses_match_prefix_reprojection(graph, flows, trace, bitwise=True)
+    assert_losses_match_prefix_reprojection(graph, flows, trace, reported=True)

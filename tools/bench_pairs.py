@@ -24,10 +24,14 @@ Two rules are applied.  The regression rule covers every end-to-end metric
 that ``PARENT/BENCHMARK.json`` lists: the change regresses a metric when its
 median is worse than the parent's by more than the metric's relative
 ``bound`` (above ``(1 + bound)`` times the parent's median where lower is
-better, below ``(1 - bound)`` times it where higher is better).  The claim
-rule applies only when ``--claim`` names a metric, which must be one where
-lower is better (as every end-to-end metric of ``BENCHMARK.json`` is): it
-passes when the change is lower in at least 9 of every 10 pairs and the
+better, below ``(1 - bound)`` times it where higher is better).  A metric
+whose parent runs spread wider than its bound (interquartile range over
+median) is reported as unresolved rather than unchanged, unless every
+change run is better than every parent run: the report and the summary
+line name it, and the exit status does not change.  The claim rule
+applies only when ``--claim`` names a metric, which must be one where lower
+is better (as every end-to-end metric of ``BENCHMARK.json`` is): it passes
+when the change is lower in at least 9 of every 10 pairs and the
 gap between the medians is larger than the parent's interquartile range.
 The exit status is 0 when no metric regressed, the claim (if any) passes,
 no run failed a call and every run reports ``correct`` (a run that stops
@@ -130,13 +134,19 @@ def bounds(benchmark):
 
 def regression(pairs, metric, bound, better):
     """The regression rule: the change's median worse than the parent's by
-    more than ``bound``, relative to the parent's median."""
-    parent = statistics.median(values(pairs, "parent", metric))
-    change = statistics.median(values(pairs, "change", metric))
+    more than ``bound``, relative to the parent's median.  ``unresolved``:
+    the parent's interquartile range exceeds ``bound`` times its median,
+    and some change run is no better than some parent run."""
+    parent_runs, change_runs = values(pairs, "parent", metric), values(pairs, "change", metric)
+    parent, change = statistics.median(parent_runs), statistics.median(change_runs)
+    q1, _, q3 = quartiles(parent_runs)
     limit = parent * (1 + bound if better == "lower" else 1 - bound)
     worse = change > limit if better == "lower" else change < limit
+    separated = (max(change_runs) < min(parent_runs) if better == "lower"
+                 else min(change_runs) > max(parent_runs))
     return {"parent_median": round(parent, 4), "change_median": round(change, 4),
-            "bound": bound, "better": better, "limit": round(limit, 4), "regressed": worse}
+            "bound": bound, "better": better, "limit": round(limit, 4), "regressed": worse,
+            "unresolved": q3 - q1 > bound * abs(parent) and not separated}
 
 
 def main(argv=None):
@@ -167,6 +177,7 @@ def main(argv=None):
                for name in pairs[0]["parent"] if name in pairs[0]["change"]}
     checked = {name: regression(pairs, name, *limits[name]) for name in limits}
     regressed = [name for name, check in checked.items() if check["regressed"]]
+    unresolved = [name for name, check in checked.items() if check["unresolved"]]
     verdict = judge(pairs, args.claim) if args.claim else None
     ratio = sph_per_fast(pairs)
     failed = sum(p[f"{side}_failed"][0] for p in pairs for side in SIDES)
@@ -183,10 +194,14 @@ def main(argv=None):
                 "gap is larger than the parent's interquartile range",
         "regression_rule": "no end-to-end metric's median is worse than the parent's "
                            "by more than its relative bound in BENCHMARK.json",
+        "unresolved_rule": "the parent's interquartile range exceeds the metric's bound "
+                           "times its median, and not every change run is better than "
+                           "every parent run",
         "environment": environment,
         "result": {f"{args.workload}.{args.claim}": verdict} if args.claim else {},
         "bounds": {f"{args.workload}.{name}": check for name, check in checked.items()},
         "regressed": [f"{args.workload}.{name}" for name in regressed],
+        "unresolved": [f"{args.workload}.{name}" for name in unresolved],
         "failed_calls": failed,
         "incorrect_runs": incorrect,
         "workloads": {args.workload: {"summary": summary, "sph_s_per_fast_s": ratio,
@@ -203,6 +218,7 @@ def main(argv=None):
         print(f"{args.workload}: median sph_s / fast_s: parent {ratio['parent']:.4g}, "
               f"change {ratio['change']:.4g}")
     print(f"{args.workload}: regressed beyond bound: {', '.join(regressed) or 'none'}; "
+          f"unresolved (parent spread beyond bound): {', '.join(unresolved) or 'none'}; "
           f"{failed} failed calls, {incorrect} incorrect runs")
     passes = verdict is None or verdict["passes"]
     return 0 if passes and not regressed and not failed and not incorrect else 1
